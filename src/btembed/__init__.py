@@ -31,10 +31,10 @@ from .exceptions import (
     StepBudgetExceededError,
 )
 from .grammar import (
+    arg_attributes,
     balanced_parens_grammar,
     balanced_parens_schema,
     compile_rules,
-    default_arg_attrs,
     load_grammar,
     parse,
     random_balanced,
@@ -47,11 +47,8 @@ from .harness import (
     SweepSpec,
     make_sweep_schema,
     random_tree,
-    run_list_sweep,
-    run_parse_sweep,
     run_separation_probe,
     run_sweep,
-    run_tree_sweep,
     write_separation_csv,
     write_sweep_csv,
 )
@@ -66,7 +63,7 @@ from .parser import (
     pattern_arity,
     window_vector,
 )
-from .schema import Schema, Tree, validate_schema
+from .schema import NEXT, Schema, Tree, validate_schema
 from .transformer import (
     PositionCodes,
     SeqState,
@@ -79,9 +76,8 @@ from .transformer import (
     ffn1,
     ffn2,
     init_state,
+    query_position_codes,
     run_decoder,
     save_weights,
 )
 from .vectors import BTVector
-
-__all__ = [name for name in dir() if not name.startswith("_")]

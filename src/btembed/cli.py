@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .decoder import DecodeConfig, decode
 from .embedding import bt_encode, make_embedding
@@ -25,7 +23,7 @@ from .exceptions import (
     SeparationUnachievableError,
     StepBudgetExceededError,
 )
-from .grammar import compile_rules, load_grammar
+from .grammar import compile_rules, load_grammar, parse
 from .harness import (
     SEPARATION_CODE,
     SweepSpec,
@@ -39,7 +37,7 @@ from .harness import (
 )
 from .io import load_embedding, load_vector, save_embedding, save_vector
 from .schema import Schema, Tree, validate_schema
-from .transformer import XfConfig, build_position_codes, export_weights, run_decoder, save_weights
+from .transformer import XfConfig, export_weights, query_position_codes, run_decoder, save_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,9 +98,7 @@ def cmd_parse(args) -> int:
     tokens = args.input.split()
     if not tokens:
         return _fail(EXIT_USAGE, "empty input")
-    from .grammar import parse as parse_tokens
-
-    v = parse_tokens(e, tokens, ruleset, args.max_steps)
+    v = parse(e, tokens, ruleset, args.max_steps)
     save_vector(v, args.output)
     return EXIT_OK
 
@@ -119,10 +115,7 @@ def cmd_transformer_query(args) -> int:
     )
     labels = run_decoder(e, v, path, cfg, seed=args.seed)
     if args.dump_weights:
-        n = len(path) + 1
-        base = e.seed if args.seed is None else args.seed
-        rng = np.random.default_rng([base, n])
-        codes = build_position_codes(n, cfg.k, rng, cfg.pos_overlap_bound, cfg.pos_retries)
+        codes = query_position_codes(e, len(path) + 1, cfg, args.seed)
         save_weights(export_weights(e, codes, cfg), args.dump_weights)
     names = [None if i is None else e.schema.tokens[i] for i in labels]
     sys.stdout.write(json.dumps(names) + "\n")

@@ -69,15 +69,10 @@ def decode_with_stats(
     stats = DecodeStats()
     n_attrs = e.schema.n_attributes
 
-    def probe(u: np.ndarray) -> int | None:
+    def explore(u: np.ndarray, depth: int) -> Tree | None:
         stats.visits += 1
         stats.probes += e.schema.n_tokens
-        scores = e.token_vectors @ u
-        best = int(np.argmax(scores))
-        return best if scores[best] > config.threshold else None
-
-    def explore(u: np.ndarray, depth: int) -> Tree | None:
-        label = probe(u)
+        label = decode_token(e, u, config.threshold)
         if label is None:
             return None
         if depth > config.max_depth:

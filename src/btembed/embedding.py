@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionTooSmallError, SchemaMismatchError
-from .schema import Schema, Tree
-from .vectors import BTVector
+from .schema import NEXT, Schema, Tree
+from .vectors import BTVector, read_only
 
 GENERATOR_NAME = "philox"
 _MAX_SEED = 2**64 - 1
@@ -52,7 +52,8 @@ class Embedding:
 
     token_vectors has shape (n_tokens, dim) with unit rows. attribute_matrices
     has shape (n_attributes, dim, dim); each slice is orthogonal, so its
-    inverse is its transpose.
+    inverse is its transpose. Both are stored as read-only views, so every
+    operation, rule set and vector shares the one fixed set of arrays.
     """
 
     schema: Schema
@@ -62,6 +63,10 @@ class Embedding:
     token_vectors: np.ndarray
     attribute_matrices: np.ndarray
     fingerprint: str
+
+    def __post_init__(self) -> None:
+        for name in ("token_vectors", "attribute_matrices"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def token_vector(self, token: int | str) -> np.ndarray:
         idx = self.schema.token_index(token) if isinstance(token, str) else token
@@ -159,18 +164,18 @@ def attach(
     return e.wrap(a + u)
 
 
-def encode_list(e: Embedding, tokens: Sequence[int | str], next_attr: int | str = "next") -> BTVector:
+def encode_list(e: Embedding, tokens: Sequence[int | str]) -> BTVector:
     """Embed a non-empty token sequence as a chain along the next attribute."""
     if len(tokens) == 0:
         raise ValueError("encode_list needs a non-empty sequence")
-    nxt = e.attribute_matrix(next_attr)
-    acc = e.token_vector(tokens[-1]).copy()
+    nxt = e.attribute_matrix(NEXT)
+    acc = e.token_vector(tokens[-1])
     for t in reversed(tokens[:-1]):
         acc = e.token_vector(t) + nxt @ acc
     return e.wrap(acc)
 
 
-def push(e: Embedding, v: BTVector, token: int | str, next_attr: int | str = "next") -> BTVector:
+def push(e: Embedding, v: BTVector, token: int | str) -> BTVector:
     """Prepend a token to a chain: token vector plus the shifted payload."""
     data = e.check(v)
-    return e.wrap(e.token_vector(token) + e.attribute_matrix(next_attr) @ data)
+    return e.wrap(e.token_vector(token) + e.attribute_matrix(NEXT) @ data)

@@ -15,48 +15,43 @@ from typing import Sequence
 from .embedding import Embedding, encode_list
 from .exceptions import ArityExceededError
 from .parser import Rule, RuleSet, parse_vectors
-from .schema import Schema, Tree
+from .schema import NEXT, Schema, Tree
 from .vectors import BTVector
 
 GrammarRules = Sequence[tuple[Sequence[str], str]]
 
 
-def default_arg_attrs(schema: Schema) -> list[str]:
+def arg_attributes(schema: Schema) -> list[str]:
+    """The attributes a rewrite binds window members under: arg*, in schema order."""
     return [a for a in schema.attributes if a.startswith("arg")]
 
 
-def compile_rules(
-    e: Embedding,
-    grammar: GrammarRules,
-    next_attr: str = "next",
-    arg_attrs: Sequence[str] | None = None,
-) -> RuleSet:
-    """Encode each pattern as a token chain and keep the binding matrices."""
-    if arg_attrs is None:
-        arg_attrs = default_arg_attrs(e.schema)
-    if not arg_attrs:
+def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
+    """Encode each pattern as a token chain; the binding matrices are the embedding's own."""
+    args = arg_attributes(e.schema)
+    if not args:
         raise ArityExceededError("schema has no argument attributes")
     rules = []
     for pattern, replacement in grammar:
         if len(pattern) == 0:
             raise ValueError("empty rule pattern")
-        if len(pattern) > len(arg_attrs):
+        if len(pattern) > len(args):
             raise ArityExceededError(
                 f"pattern {tuple(pattern)} needs {len(pattern)} argument "
-                f"attributes, schema provides {len(arg_attrs)}"
+                f"attributes, schema provides {len(args)}"
             )
         rules.append(
             Rule(
-                pattern=encode_list(e, list(pattern), next_attr).data,
-                replacement=e.token_vector(replacement).copy(),
+                pattern=encode_list(e, list(pattern)).data,
+                replacement=e.token_vector(replacement),
                 arity=len(pattern),
                 name=f"{' '.join(pattern)} -> {replacement}",
             )
         )
     return RuleSet(
         rules=tuple(rules),
-        next_matrix=e.attribute_matrix(next_attr).copy(),
-        arg_matrices=tuple(e.attribute_matrix(a).copy() for a in arg_attrs),
+        next_matrix=e.attribute_matrix(NEXT),
+        arg_matrices=tuple(e.attribute_matrix(a) for a in args),
         fingerprint=e.fingerprint,
     )
 
@@ -68,24 +63,17 @@ def parse(
     max_steps: int | None = None,
 ) -> BTVector:
     """Encode the input tokens as slots and run the vector engine."""
-    slots = [e.wrap(e.token_vector(t).copy()) for t in tokens]
+    slots = [e.wrap(e.token_vector(t)) for t in tokens]
     return parse_vectors(slots, ruleset, max_steps)
 
 
-def symbolic_parse(
-    grammar: GrammarRules,
-    tokens: Sequence[str],
-    schema: Schema,
-    arg_attrs: Sequence[str] | None = None,
-) -> Tree | None:
+def symbolic_parse(grammar: GrammarRules, tokens: Sequence[str], schema: Schema) -> Tree | None:
     """Reference shift-reduce parser with the engine's exact scan order.
 
     Returns the parse tree, with window members bound under the argument
     attributes, or None when rewriting halts on several slots.
     """
-    if arg_attrs is None:
-        arg_attrs = default_arg_attrs(schema)
-    arg_idx = [schema.attribute_index(a) for a in arg_attrs]
+    arg_idx = [schema.attribute_index(a) for a in arg_attributes(schema)]
     slots: list[Tree] = [Tree(schema.token_index(t)) for t in tokens]
     if not slots:
         return None
@@ -115,8 +103,8 @@ def balanced_parens_grammar() -> list[tuple[tuple[str, ...], str]]:
 
 def balanced_parens_schema() -> Schema:
     return Schema(
-        tokens=("L", "R", "E", "next", "arg1", "arg2", "arg3"),
-        attributes=("next", "arg1", "arg2", "arg3"),
+        tokens=("L", "R", "E", NEXT, "arg1", "arg2", "arg3"),
+        attributes=(NEXT, "arg1", "arg2", "arg3"),
     )
 
 

@@ -31,7 +31,8 @@ from .grammar import (
     random_balanced,
     symbolic_parse,
 )
-from .schema import Schema, Tree
+from .parser import RuleSet
+from .schema import NEXT, Schema, Tree
 
 KIND_CODES = {"list": 1, "tree": 2, "parse": 3}
 SEPARATION_CODE = 4
@@ -96,7 +97,7 @@ class SeparationResult:
 
 def make_sweep_schema(n_tokens: int, n_attributes: int) -> Schema:
     """Data tokens t0..t{N-1} plus appended attribute tokens next, arg1, ..."""
-    attrs = ["next"] + [f"arg{i}" for i in range(1, n_attributes)]
+    attrs = [NEXT] + [f"arg{i}" for i in range(1, n_attributes)]
     tokens = [f"t{i}" for i in range(n_tokens)] + attrs
     return Schema(tuple(tokens), tuple(attrs))
 
@@ -138,7 +139,7 @@ def random_tree(size: int, n_labels: int, n_attributes: int, rng: np.random.Gene
 def chain_tree(e: Embedding, tokens: list[int]) -> Tree:
     """The tree a decoded token chain should equal."""
     node = Tree(tokens[-1])
-    nxt = e.schema.attribute_index("next")
+    nxt = e.schema.attribute_index(NEXT)
     for t in reversed(tokens[:-1]):
         node = Tree.make(t, {nxt: node})
     return node
@@ -166,9 +167,12 @@ def tree_roundtrip_trial(e: Embedding, size: int, rng: np.random.Generator) -> b
     return decoded == tree
 
 
-def parse_roundtrip_trial(e: Embedding, ruleset, grammar, length: int, rng) -> bool:
+def parse_roundtrip_trial(
+    cell: tuple[Embedding, RuleSet], length: int, rng: np.random.Generator
+) -> bool:
+    e, ruleset = cell
     word = random_balanced(length, rng)
-    reference = symbolic_parse(grammar, word, e.schema)
+    reference = symbolic_parse(balanced_parens_grammar(), word, e.schema)
     try:
         v = parse(e, word, ruleset)
         decoded = decode(e, v)
@@ -177,17 +181,39 @@ def parse_roundtrip_trial(e: Embedding, ruleset, grammar, length: int, rng) -> b
     return reference is not None and decoded == reference
 
 
-def _run_cells(spec: SweepSpec, build_cell, run_trial) -> list[CellResult]:
+def _list_cell(spec: SweepSpec, d: int, seed: int) -> Embedding:
+    return make_embedding(make_sweep_schema(spec.n_tokens, 1), d, seed)
+
+
+def _tree_cell(spec: SweepSpec, d: int, seed: int) -> Embedding:
+    return make_embedding(make_sweep_schema(spec.n_tokens, spec.n_attributes), d, seed)
+
+
+def _parse_cell(spec: SweepSpec, d: int, seed: int) -> tuple[Embedding, RuleSet]:
+    e = make_embedding(balanced_parens_schema(), d, seed)
+    return e, compile_rules(e, balanced_parens_grammar())
+
+
+# kind -> (cell builder(spec, d, seed), trial(cell, size, rng))
+SWEEPS = {
+    "list": (_list_cell, list_roundtrip_trial),
+    "tree": (_tree_cell, tree_roundtrip_trial),
+    "parse": (_parse_cell, parse_roundtrip_trial),
+}
+
+
+def run_sweep(spec: SweepSpec) -> list[CellResult]:
+    build_cell, run_trial = SWEEPS[spec.kind]
     code = KIND_CODES[spec.kind]
     results = []
     for d in spec.dims:
         for l in spec.sizes:
             start = time.perf_counter()
-            ctx = build_cell(d, cell_seed(spec.base_seed, code, d, l))
+            cell = build_cell(spec, d, cell_seed(spec.base_seed, code, d, l))
             successes = 0
             for trial in range(spec.trials):
                 rng = trial_rng(spec.base_seed, code, d, l, trial)
-                successes += bool(run_trial(ctx, l, rng))
+                successes += bool(run_trial(cell, l, rng))
             elapsed_ms = (time.perf_counter() - start) * 1e3
             results.append(
                 CellResult(
@@ -201,50 +227,6 @@ def _run_cells(spec: SweepSpec, build_cell, run_trial) -> list[CellResult]:
                 )
             )
     return results
-
-
-def run_list_sweep(spec: SweepSpec) -> list[CellResult]:
-    if spec.kind != "list":
-        raise InvalidSpecError("run_list_sweep needs a list spec")
-    schema = make_sweep_schema(spec.n_tokens, 1)
-    return _run_cells(
-        spec,
-        lambda d, seed: make_embedding(schema, d, seed),
-        lambda e, l, rng: list_roundtrip_trial(e, l, rng),
-    )
-
-
-def run_tree_sweep(spec: SweepSpec) -> list[CellResult]:
-    if spec.kind != "tree":
-        raise InvalidSpecError("run_tree_sweep needs a tree spec")
-    schema = make_sweep_schema(spec.n_tokens, spec.n_attributes)
-    return _run_cells(
-        spec,
-        lambda d, seed: make_embedding(schema, d, seed),
-        lambda e, l, rng: tree_roundtrip_trial(e, l, rng),
-    )
-
-
-def run_parse_sweep(spec: SweepSpec) -> list[CellResult]:
-    if spec.kind != "parse":
-        raise InvalidSpecError("run_parse_sweep needs a parse spec")
-    schema = balanced_parens_schema()
-    grammar = balanced_parens_grammar()
-
-    def build(d: int, seed: int):
-        e = make_embedding(schema, d, seed)
-        return e, compile_rules(e, grammar)
-
-    return _run_cells(
-        spec,
-        build,
-        lambda ctx, l, rng: parse_roundtrip_trial(ctx[0], ctx[1], grammar, l, rng),
-    )
-
-
-def run_sweep(spec: SweepSpec) -> list[CellResult]:
-    runner = {"list": run_list_sweep, "tree": run_tree_sweep, "parse": run_parse_sweep}
-    return runner[spec.kind](spec)
 
 
 def jl_bound(depth: int, samples: int, d: int) -> float:

@@ -21,6 +21,7 @@ Vector files (magic BTV1):
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
@@ -81,8 +82,6 @@ def load_embedding(path: str | Path) -> Embedding:
         digest = _read_exact(f, 32, "schema digest")
         (schema_len,) = struct.unpack("<I", _read_exact(f, 4, "schema length"))
         schema_json = _read_exact(f, schema_len, "schema").decode("utf-8")
-        import json
-
         schema = Schema.from_dict(json.loads(schema_json))
         if schema.digest() != digest:
             raise FileFormatError("schema digest does not match embedded schema")
@@ -101,8 +100,8 @@ def load_embedding(path: str | Path) -> Embedding:
         dim=dim,
         seed=seed,
         generator=generator,
-        token_vectors=tok.copy(),
-        attribute_matrices=mats.copy(),
+        token_vectors=tok,
+        attribute_matrices=mats,
         fingerprint=embedding_fingerprint(schema, dim, seed),
     )
 
@@ -124,4 +123,4 @@ def load_vector(path: str | Path) -> BTVector:
         data = np.frombuffer(_read_exact(f, dim * 8, "payload"), dtype="<f8")
         if f.read(1):
             raise FileFormatError("trailing bytes after payload")
-    return BTVector(data.copy(), fingerprint)
+    return BTVector(data, fingerprint)

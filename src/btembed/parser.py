@@ -28,6 +28,8 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
+    """Compiled rules plus the embedding's next and argument matrices, shared, not copied."""
+
     rules: tuple[Rule, ...]
     next_matrix: np.ndarray
     arg_matrices: tuple[np.ndarray, ...]
@@ -52,7 +54,7 @@ def pattern_arity(rule: Rule) -> int:
 
 def window_vector(state: ParseState, j: int, m: int, next_matrix: np.ndarray) -> np.ndarray:
     """Chain-combine slots j..j+m-1 exactly like a freshly encoded list."""
-    acc = state.slots[j + m - 1].copy()
+    acc = state.slots[j + m - 1]
     for k in range(m - 2, -1, -1):
         acc = state.slots[j + k] + next_matrix @ acc
     return acc
@@ -96,7 +98,7 @@ def parse_vectors(slots: list[BTVector], ruleset: RuleSet, max_steps: int | None
             raise SchemaMismatchError("slot fingerprint does not match ruleset")
     if max_steps is None:
         max_steps = 4 * len(slots) ** 2
-    state = ParseState([v.data.copy() for v in slots])
+    state = ParseState([v.data for v in slots])
     while True:
         hit = False
         for rule in ruleset.rules:

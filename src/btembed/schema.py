@@ -15,6 +15,10 @@ from typing import Iterator
 
 from .exceptions import DuplicateNameError, EmptyAlphabetError, NonReflexiveError
 
+# The attribute that chains lists. Lists, the transformer's path channel and
+# the parser's windows all shift along it.
+NEXT = "next"
+
 
 @dataclass(frozen=True)
 class Schema:

@@ -24,6 +24,7 @@ import numpy as np
 from .decoder import decode_token
 from .embedding import Embedding, encode_list, haar_orthogonal
 from .exceptions import PathTooLongError, SeparationUnachievableError
+from .schema import NEXT
 from .vectors import BTVector
 
 
@@ -33,7 +34,6 @@ class XfConfig:
     attn_sharpness: float = 100.0
     gate_constant: float = 1e4
     pos_overlap_bound: float = 0.3
-    pos_retries: int = 100
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,19 @@ class SeqState:
         return np.concatenate([self.pos, self.v, self.w, self.r, self.t], axis=1)
 
 
+def query_position_codes(
+    e: Embedding, n: int, cfg: XfConfig, seed: int | None = None
+) -> PositionCodes:
+    """The codes for an n-slot query, drawn from a stream keyed by the seed and n.
+
+    The seed defaults to the embedding's, so queries are reproducible without
+    extra arguments.
+    """
+    base = e.seed if seed is None else seed
+    rng = np.random.default_rng([base, n])
+    return build_position_codes(n, cfg.k, rng, cfg.pos_overlap_bound)
+
+
 def _attr_indices(e: Embedding, path: Sequence[int | str]) -> list[int]:
     return [a if isinstance(a, int) else e.schema.attribute_index(a) for a in path]
 
@@ -119,7 +132,6 @@ def init_state(
     v: BTVector,
     path: Sequence[int | str],
     codes: PositionCodes,
-    next_attr: int | str = "next",
 ) -> SeqState:
     """Slot 1 carries the query and the once-shifted path chain; the rest are blank.
 
@@ -137,8 +149,8 @@ def init_state(
     rm = np.zeros((n, d))
     if attrs:
         tokens = [e.schema.attribute_token_indices[a] for a in attrs]
-        chain = encode_list(e, tokens, next_attr)
-        rm[0] = e.attribute_matrix(next_attr) @ chain.data
+        chain = encode_list(e, tokens)
+        rm[0] = e.attribute_matrix(NEXT) @ chain.data
     return SeqState(pos=codes.codes.copy(), v=vm, w=np.zeros((n, d)), r=rm, t=np.zeros((n, d)))
 
 
@@ -157,9 +169,7 @@ def attention_matrix(codes: PositionCodes, cfg: XfConfig) -> np.ndarray:
     return weights
 
 
-def attention_step(
-    state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfConfig, next_attr: int | str = "next"
-) -> SeqState:
+def attention_step(state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfConfig) -> SeqState:
     """Each slot pulls its predecessor's relay into v and its shifted path into r.
 
     Value vectors carry (0, w_j, 0, M_next^T r_j, 0); the residual keeps
@@ -167,7 +177,7 @@ def attention_step(
     nothing.
     """
     weights = attention_matrix(codes, cfg)
-    nxt = e.attribute_matrix(next_attr)
+    nxt = e.attribute_matrix(NEXT)
     new_v = state.v + weights @ state.w
     new_r = state.r + weights @ (state.r @ nxt)  # row-wise M_next^T r_j
     return replace(state, v=new_v, r=new_r)
@@ -206,10 +216,8 @@ def ffn2(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
     return replace(state, v=new_v, t=new_t)
 
 
-def block(
-    state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfConfig, next_attr: int | str = "next"
-) -> SeqState:
-    return ffn2(ffn1(attention_step(state, codes, e, cfg, next_attr), e, cfg), e, cfg)
+def block(state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfConfig) -> SeqState:
+    return ffn2(ffn1(attention_step(state, codes, e, cfg), e, cfg), e, cfg)
 
 
 def run_decoder(
@@ -218,31 +226,25 @@ def run_decoder(
     path: Sequence[int | str],
     cfg: XfConfig = XfConfig(),
     seed: int | None = None,
-    next_attr: int | str = "next",
 ) -> list[int | None]:
     """Decode the labels along a path with n block applications.
 
     Returns one entry per slot: slot 1 is the root label, slot i the label
-    after following the first i-1 path attributes. Position codes draw from a
-    stream derived from the embedding seed and n, so queries are reproducible
-    without extra arguments.
+    after following the first i-1 path attributes. Position codes come from
+    query_position_codes.
     """
     attrs = _attr_indices(e, path)
     n = len(attrs) + 1
     if n > cfg.k:
         raise PathTooLongError(f"{n} slots exceed position dimension k={cfg.k}")
-    base = e.seed if seed is None else seed
-    rng = np.random.default_rng([base, n])
-    codes = build_position_codes(n, cfg.k, rng, cfg.pos_overlap_bound, cfg.pos_retries)
-    state = init_state(e, v, attrs, codes, next_attr)
+    codes = query_position_codes(e, n, cfg, seed)
+    state = init_state(e, v, attrs, codes)
     for _ in range(n):
-        state = block(state, codes, e, cfg, next_attr)
+        state = block(state, codes, e, cfg)
     return [decode_token(e, state.t[i]) for i in range(n)]
 
 
-def export_weights(
-    e: Embedding, codes: PositionCodes, cfg: XfConfig, next_attr: int | str = "next"
-) -> dict[str, np.ndarray]:
+def export_weights(e: Embedding, codes: PositionCodes, cfg: XfConfig) -> dict[str, np.ndarray]:
     """Materialize the block as dense tensors over the full slot width.
 
     Channel layout along the width: [p | v | w | r | t]. The attention value
@@ -256,7 +258,7 @@ def export_weights(
     pv, vv, wv, rv, tv = 0, k, k + d, k + 2 * d, k + 3 * d
     c = cfg.gate_constant
     attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
-    nxt = e.attribute_matrix(next_attr)
+    nxt = e.attribute_matrix(NEXT)
 
     wq = np.zeros((k, s))
     wq[:, pv : pv + k] = codes.step.T

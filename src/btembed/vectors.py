@@ -7,12 +7,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`; the caller's own array stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class BTVector:
     """A point in embedding space.
 
     The fingerprint records which embedding produced the vector so that
-    operations refuse to mix vectors from incompatible embeddings.
+    operations refuse to mix vectors from incompatible embeddings. data is a
+    read-only view, so vectors can share memory with each other and with the
+    embedding without copies.
     """
 
     data: np.ndarray
@@ -22,7 +31,7 @@ class BTVector:
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("vector data must be one-dimensional")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", read_only(arr))
 
     @property
     def dim(self) -> int:

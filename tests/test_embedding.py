@@ -27,7 +27,7 @@ from btembed import (
     random_tree,
     zero_vector,
 )
-from btembed.embedding import embedding_fingerprint
+from btembed.embedding import Embedding, embedding_fingerprint
 
 
 def reference_encode(e, tree: Tree) -> np.ndarray:
@@ -281,3 +281,45 @@ class TestBTVector:
 
     def test_norm(self):
         assert BTVector([3.0, 4.0], "fp").norm() == pytest.approx(5.0)
+
+
+class TestReadOnly:
+    """The embedding's arrays and vector data are shared, so writes must fail."""
+
+    def test_embedding_arrays_reject_writes(self, emb_small):
+        with pytest.raises(ValueError):
+            emb_small.token_vectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            emb_small.attribute_matrices[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            emb_small.attribute_matrix("next")[0] += 1.0
+
+    def test_vector_data_rejects_writes(self, emb_small):
+        v = encode_list(emb_small, [1, 2])
+        with pytest.raises(ValueError):
+            v.data[0] = 1.0
+        single = encode_list(emb_small, [3])
+        with pytest.raises(ValueError):
+            single.data += 1.0
+
+    def test_caller_arrays_stay_writable(self, emb_small):
+        tok = np.array(emb_small.token_vectors)
+        mats = np.array(emb_small.attribute_matrices)
+        e = Embedding(
+            schema=emb_small.schema,
+            dim=emb_small.dim,
+            seed=emb_small.seed,
+            generator=emb_small.generator,
+            token_vectors=tok,
+            attribute_matrices=mats,
+            fingerprint=emb_small.fingerprint,
+        )
+        assert np.shares_memory(e.token_vectors, tok)
+        assert np.shares_memory(e.attribute_matrices, mats)
+        tok[0, 0] = 2.0
+        mats[0, 0, 0] = 2.0
+        data = np.zeros(4)
+        v = BTVector(data, "fp")
+        data[0] = 1.0
+        assert v.data[0] == 1.0
+        assert not v.data.flags.writeable

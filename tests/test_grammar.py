@@ -5,9 +5,9 @@ import pytest
 
 from btembed import (
     Tree,
+    arg_attributes,
     balanced_parens_grammar,
     balanced_parens_schema,
-    default_arg_attrs,
     load_grammar,
     random_balanced,
     save_grammar,
@@ -21,8 +21,8 @@ class TestParensFixtures:
         assert s.tokens[:3] == ("L", "R", "E")
         assert s.attributes == ("next", "arg1", "arg2", "arg3")
 
-    def test_default_arg_attrs(self):
-        assert default_arg_attrs(balanced_parens_schema()) == ["arg1", "arg2", "arg3"]
+    def test_arg_attributes(self):
+        assert arg_attributes(balanced_parens_schema()) == ["arg1", "arg2", "arg3"]
 
 
 class TestSymbolicParse:

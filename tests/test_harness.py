@@ -13,11 +13,8 @@ from btembed import (
     make_embedding,
     make_sweep_schema,
     random_tree,
-    run_list_sweep,
-    run_parse_sweep,
     run_separation_probe,
     run_sweep,
-    run_tree_sweep,
 )
 from btembed.harness import (
     SEPARATION_CSV_HEADER,
@@ -67,13 +64,6 @@ class TestSweepSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidSpecError):
             SweepSpec(**kwargs)
-
-    def test_kind_mismatch_with_runner(self):
-        spec = SweepSpec(kind="list", dims=(64,), sizes=(2,), trials=1)
-        with pytest.raises(InvalidSpecError):
-            run_tree_sweep(spec)
-        with pytest.raises(InvalidSpecError):
-            run_parse_sweep(spec)
 
 
 class TestSeeding:
@@ -133,7 +123,7 @@ class TestGenerators:
 class TestSweeps:
     def test_list_sweep_clean_regime(self):
         spec = SweepSpec(kind="list", dims=(256,), sizes=(2, 4), trials=6)
-        results = run_list_sweep(spec)
+        results = run_sweep(spec)
         assert len(results) == 2
         for r in results:
             assert r.kind == "list"
@@ -145,25 +135,19 @@ class TestSweeps:
 
     def test_tree_sweep_clean_regime(self):
         spec = SweepSpec(kind="tree", dims=(256,), sizes=(2, 3), trials=6)
-        for r in run_tree_sweep(spec):
+        for r in run_sweep(spec):
             assert r.successes == 6
 
     def test_parse_sweep_clean_regime(self):
         spec = SweepSpec(kind="parse", dims=(512,), sizes=(2, 4), trials=6)
-        for r in run_parse_sweep(spec):
+        for r in run_sweep(spec):
             assert r.successes == 6
 
     def test_tree_sweep_noise_regime(self):
         # far past the capacity boundary the round trip must mostly fail
         spec = SweepSpec(kind="tree", dims=(64,), sizes=(20,), trials=6)
-        (r,) = run_tree_sweep(spec)
+        (r,) = run_sweep(spec)
         assert r.success_rate < 0.5
-
-    def test_run_sweep_dispatch(self):
-        spec = SweepSpec(kind="list", dims=(128,), sizes=(2,), trials=3)
-        direct = run_list_sweep(spec)
-        routed = run_sweep(spec)
-        assert [(r.successes, r.l) for r in routed] == [(r.successes, r.l) for r in direct]
 
 
 class TestSeparation:
@@ -222,8 +206,8 @@ class TestCsv:
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = SweepSpec(kind="list", dims=(128,), sizes=(2, 3), trials=4)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(run_list_sweep(spec), a)
-        write_sweep_csv(run_list_sweep(spec), b)
+        write_sweep_csv(run_sweep(spec), a)
+        write_sweep_csv(run_sweep(spec), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_separation_rerun_byte_identical(self, tmp_path):

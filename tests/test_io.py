@@ -36,6 +36,19 @@ class TestEmbeddingFile:
         np.testing.assert_array_equal(back.token_vectors, emb.token_vectors)
         np.testing.assert_array_equal(back.attribute_matrices, emb.attribute_matrices)
 
+    def test_loaded_arrays_are_read_only(self, emb, tmp_path):
+        p = tmp_path / "e.bte"
+        save_embedding(emb, p)
+        back = load_embedding(p)
+        with pytest.raises(ValueError):
+            back.token_vectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            back.attribute_matrices[0, 0, 0] = 1.0
+        q = tmp_path / "v.btv"
+        save_vector(bt_encode(emb, Tree(1)), q)
+        with pytest.raises(ValueError):
+            load_vector(q).data[0] = 1.0
+
     def test_header_layout(self, emb, tmp_path):
         p = tmp_path / "e.bte"
         save_embedding(emb, p)

@@ -54,6 +54,16 @@ class TestCompiledRules:
             parens_ruleset.rules[0].replacement, parens_embedding.token_vector("E")
         )
 
+    def test_matrices_are_the_embeddings_own(self, parens_embedding, parens_ruleset):
+        mats = parens_embedding.attribute_matrices
+        for m in (parens_ruleset.next_matrix, *parens_ruleset.arg_matrices):
+            assert np.shares_memory(m, mats)
+            assert not m.flags.owndata
+        with pytest.raises(ValueError):
+            parens_ruleset.next_matrix[0, 0] = 1.0
+        for rule in parens_ruleset.rules:
+            assert not rule.replacement.flags.writeable
+
     def test_pattern_too_wide(self, parens_embedding):
         with pytest.raises(ArityExceededError):
             compile_rules(parens_embedding, [(("L", "L", "R", "R"), "E")])
