@@ -49,8 +49,6 @@ from .harness import (
     random_tree,
     run_separation_probe,
     run_sweep,
-    write_separation_csv,
-    write_sweep_csv,
 )
 from .io import load_embedding, load_vector, save_embedding, save_vector
 from .parser import (
@@ -60,10 +58,9 @@ from .parser import (
     apply_replacement,
     match_window,
     parse_vectors,
-    pattern_arity,
     window_vector,
 )
-from .schema import NEXT, Schema, Tree, validate_schema
+from .schema import NEXT, Schema, Tree
 from .transformer import (
     PositionCodes,
     SeqState,

@@ -31,12 +31,12 @@ from .harness import (
     make_sweep_schema,
     run_separation_probe,
     run_sweep,
+    separation_csv,
+    sweep_csv,
     trial_rng,
-    write_separation_csv,
-    write_sweep_csv,
 )
 from .io import load_embedding, load_vector, save_embedding, save_vector
-from .schema import Schema, Tree, validate_schema
+from .schema import Schema, Tree
 from .transformer import XfConfig, export_weights, query_position_codes, run_decoder, save_weights
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ def cmd_gen_schema(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    schema = validate_schema(json.loads(Path(args.schema).read_text()))
+    schema = Schema.from_dict(json.loads(Path(args.schema).read_text()))
     e = make_embedding(schema, args.dim, args.seed)
     save_embedding(e, args.output)
     return EXIT_OK
@@ -111,7 +111,6 @@ def cmd_transformer_query(args) -> int:
         k=args.k,
         attn_sharpness=args.sharpness,
         gate_constant=args.gate_constant,
-        pos_overlap_bound=args.pos_bound,
     )
     labels = run_decoder(e, v, path, cfg, seed=args.seed)
     if args.dump_weights:
@@ -129,21 +128,19 @@ def cmd_experiment(args) -> int:
         sizes=_int_list(args.sizes),
         trials=args.trials,
         base_seed=args.base_seed,
-        n_tokens=args.n_tokens,
-        n_attributes=args.n_attributes,
     )
-    write_sweep_csv(run_sweep(spec), args.output, timings=args.timings)
+    Path(args.output).write_text(sweep_csv(run_sweep(spec), timings=args.timings))
     return EXIT_OK
 
 
 def cmd_separation(args) -> int:
-    schema = make_sweep_schema(args.n_tokens, args.n_attributes)
+    schema = make_sweep_schema(100, 4)  # the tree sweep's schema
     rows = []
     for run in range(args.runs):
         e = make_embedding(schema, args.dim, cell_seed(args.base_seed, SEPARATION_CODE, args.dim, run))
         rng = trial_rng(args.base_seed, SEPARATION_CODE, args.dim, args.depth, run)
         rows.append(run_separation_probe(e, args.depth, args.samples, rng))
-    write_separation_csv(rows, args.output)
+    Path(args.output).write_text(separation_csv(rows))
     return EXIT_OK
 
 
@@ -195,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--sharpness", type=float, default=100.0)
     p.add_argument("--gate-constant", type=float, default=1e4)
-    p.add_argument("--pos-bound", type=float, default=0.3)
     p.add_argument("--seed", type=int)
     p.add_argument("--dump-weights", metavar="DIR", help="write dense block tensors and a manifest")
     p.set_defaults(func=cmd_transformer_query)
@@ -206,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="comma separated sizes")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--n-tokens", type=int, default=100)
-    p.add_argument("--n-attributes", type=int, default=4)
     p.add_argument("--timings", action="store_true", help="write measured wall times")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_experiment)
@@ -218,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--n-tokens", type=int, default=100)
-    p.add_argument("--n-attributes", type=int, default=4)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_separation)
 
@@ -242,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         PathTooLongError,
     ) as err:
         return _fail(EXIT_BUDGET, str(err))
-    except (BTError, OSError, KeyError, ValueError, json.JSONDecodeError) as err:
+    except (BTError, OSError, KeyError, ValueError, RecursionError) as err:
         return _fail(EXIT_USAGE, str(err))
 
 

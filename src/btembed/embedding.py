@@ -59,7 +59,6 @@ class Embedding:
     schema: Schema
     dim: int
     seed: int
-    generator: str
     token_vectors: np.ndarray
     attribute_matrices: np.ndarray
     fingerprint: str
@@ -110,7 +109,6 @@ def make_embedding(schema: Schema, dim: int, seed: int) -> Embedding:
         schema=schema,
         dim=dim,
         seed=seed,
-        generator=GENERATOR_NAME,
         token_vectors=tok,
         attribute_matrices=mats,
         fingerprint=embedding_fingerprint(schema, dim, seed),

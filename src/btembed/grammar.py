@@ -9,6 +9,7 @@ is the oracle the vector engine is measured against.
 from __future__ import annotations
 
 import json
+from math import comb
 from pathlib import Path
 from typing import Sequence
 
@@ -108,34 +109,40 @@ def balanced_parens_schema() -> Schema:
     )
 
 
-def random_balanced(length: int, rng, open_token: str = "L", close_token: str = "R") -> list[str]:
-    """Uniform balanced string of the given even length via ballot counting.
+# Longest word random_balanced samples: its draws are numpy int64 ranges, and
+# the first is over Catalan(length / 2) words, which passes 2**63 at length 72.
+MAX_BALANCED_LENGTH = 70
+
+
+def ballot_count(remaining: int, height: int) -> int:
+    """Count the walks of `remaining` +-1 steps from `height` to 0 that stay >= 0.
+
+    The ballot closed form comb(r, u) - comb(r, u - 1), with u = (r - h) / 2
+    up steps, is exact in Python integers.
+    """
+    if height < 0 or height > remaining or (remaining - height) % 2:
+        return 0
+    u = (remaining - height) // 2
+    return comb(remaining, u) - (comb(remaining, u - 1) if u else 0)
+
+
+def random_balanced(length: int, rng) -> list[str]:
+    """Uniform balanced L/R string of the given even length via ballot counting.
 
     Exact integer counts of completions keep the distribution uniform over
     all Dyck words of that length.
     """
     if length < 0 or length % 2:
         raise ValueError("length must be even and non-negative")
-    counts: dict[tuple[int, int], int] = {}
-
-    def completions(i: int, h: int) -> int:
-        # number of valid suffixes from position i at height h
-        if h < 0 or h > length - i:
-            return 0
-        if i == length:
-            return 1 if h == 0 else 0
-        key = (i, h)
-        if key not in counts:
-            counts[key] = completions(i + 1, h + 1) + completions(i + 1, h - 1)
-        return counts[key]
-
+    if length > MAX_BALANCED_LENGTH:
+        raise ValueError(f"length {length} exceeds the sampler's limit of {MAX_BALANCED_LENGTH}")
     word = []
     h = 0
     for i in range(length):
-        up = completions(i + 1, h + 1)
-        down = completions(i + 1, h - 1)
+        up = ballot_count(length - i - 1, h + 1)
+        down = ballot_count(length - i - 1, h - 1)
         pick_up = int(rng.integers(up + down)) < up
-        word.append(open_token if pick_up else close_token)
+        word.append("L" if pick_up else "R")
         h += 1 if pick_up else -1
     return word
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .exceptions import (
     StepBudgetExceededError,
 )
 from .grammar import (
+    MAX_BALANCED_LENGTH,
     balanced_parens_grammar,
     balanced_parens_schema,
     compile_rules,
@@ -43,8 +43,9 @@ class SweepSpec:
     """Grid description for one sweep.
 
     sizes are list lengths, tree node counts, or balanced-string lengths
-    depending on kind. n_tokens counts the data tokens; the distinguished
-    attribute tokens come on top.
+    depending on kind. Each kind runs on its acceptance suite's schema: lists
+    on make_sweep_schema(100, 1), trees on make_sweep_schema(100, 4), parses
+    on the balanced-parens schema.
     """
 
     kind: str
@@ -52,8 +53,6 @@ class SweepSpec:
     sizes: tuple[int, ...]
     trials: int
     base_seed: int = 0
-    n_tokens: int = 100
-    n_attributes: int = 4
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -66,10 +65,10 @@ class SweepSpec:
             raise InvalidSpecError("sizes must be non-empty and positive")
         if self.kind == "parse" and any(s % 2 for s in self.sizes):
             raise InvalidSpecError("parse sizes are balanced-string lengths, must be even")
+        if self.kind == "parse" and max(self.sizes) > MAX_BALANCED_LENGTH:
+            raise InvalidSpecError(f"parse sizes are limited to {MAX_BALANCED_LENGTH}")
         if self.trials < 1:
             raise InvalidSpecError("trials must be positive")
-        if self.n_tokens < 1 or self.n_attributes < 1:
-            raise InvalidSpecError("token and attribute counts must be positive")
         if self.base_seed < 0:
             raise InvalidSpecError("base_seed must be non-negative")
 
@@ -181,20 +180,20 @@ def parse_roundtrip_trial(
     return reference is not None and decoded == reference
 
 
-def _list_cell(spec: SweepSpec, d: int, seed: int) -> Embedding:
-    return make_embedding(make_sweep_schema(spec.n_tokens, 1), d, seed)
+def _list_cell(d: int, seed: int) -> Embedding:
+    return make_embedding(make_sweep_schema(100, 1), d, seed)
 
 
-def _tree_cell(spec: SweepSpec, d: int, seed: int) -> Embedding:
-    return make_embedding(make_sweep_schema(spec.n_tokens, spec.n_attributes), d, seed)
+def _tree_cell(d: int, seed: int) -> Embedding:
+    return make_embedding(make_sweep_schema(100, 4), d, seed)
 
 
-def _parse_cell(spec: SweepSpec, d: int, seed: int) -> tuple[Embedding, RuleSet]:
+def _parse_cell(d: int, seed: int) -> tuple[Embedding, RuleSet]:
     e = make_embedding(balanced_parens_schema(), d, seed)
     return e, compile_rules(e, balanced_parens_grammar())
 
 
-# kind -> (cell builder(spec, d, seed), trial(cell, size, rng))
+# kind -> (cell builder(d, seed), trial(cell, size, rng))
 SWEEPS = {
     "list": (_list_cell, list_roundtrip_trial),
     "tree": (_tree_cell, tree_roundtrip_trial),
@@ -209,7 +208,7 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
     for d in spec.dims:
         for l in spec.sizes:
             start = time.perf_counter()
-            cell = build_cell(spec, d, cell_seed(spec.base_seed, code, d, l))
+            cell = build_cell(d, cell_seed(spec.base_seed, code, d, l))
             successes = 0
             for trial in range(spec.trials):
                 rng = trial_rng(spec.base_seed, code, d, l, trial)
@@ -297,11 +296,3 @@ def separation_csv(rows: list[SeparationResult]) -> str:
             f"{r.d},{r.depth},{r.samples},{r.max_abs_ip:.6f},{r.jl_bound:.6f},{r.violations}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(results: list[CellResult], path: str | Path, timings: bool = False) -> None:
-    Path(path).write_text(sweep_csv(results, timings))
-
-
-def write_separation_csv(rows: list[SeparationResult], path: str | Path) -> None:
-    Path(path).write_text(separation_csv(rows))

@@ -8,7 +8,7 @@ Embedding files (magic BTE1), little-endian throughout:
     u32 n_tokens
     u32 n_attributes
     u64 seed
-    u32 generator name length, then that many utf-8 bytes
+    u32 generator name length, then that many utf-8 bytes ("philox")
     32s sha256 of the canonical schema JSON
     u32 schema JSON length, then that many utf-8 bytes
     payload: token matrix rows, then attribute matrices in schema order,
@@ -22,12 +22,13 @@ Vector files (magic BTV1):
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import Embedding, embedding_fingerprint
+from .embedding import GENERATOR_NAME, Embedding, embedding_fingerprint
 from .exceptions import FileFormatError
 from .schema import Schema
 from .vectors import BTVector
@@ -38,6 +39,9 @@ FORMAT_VERSION = 1
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # a header field sizes this read, so check it against the file before allocating
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise FileFormatError(f"truncated file while reading {what}")
     buf = f.read(n)
     if len(buf) != n:
         raise FileFormatError(f"truncated file while reading {what}")
@@ -46,7 +50,7 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 def save_embedding(e: Embedding, path: str | Path) -> None:
     schema_json = e.schema.canonical_json().encode("utf-8")
-    gen = e.generator.encode("utf-8")
+    gen = GENERATOR_NAME.encode("utf-8")
     with open(path, "wb") as f:
         f.write(EMBEDDING_MAGIC)
         f.write(
@@ -78,7 +82,8 @@ def load_embedding(path: str | Path) -> Embedding:
         if version != FORMAT_VERSION:
             raise FileFormatError(f"unsupported format version {version}")
         (gen_len,) = struct.unpack("<I", _read_exact(f, 4, "generator length"))
-        generator = _read_exact(f, gen_len, "generator name").decode("utf-8")
+        if _read_exact(f, gen_len, "generator name") != GENERATOR_NAME.encode("utf-8"):
+            raise FileFormatError(f"unsupported generator, expected {GENERATOR_NAME!r}")
         digest = _read_exact(f, 32, "schema digest")
         (schema_len,) = struct.unpack("<I", _read_exact(f, 4, "schema length"))
         schema_json = _read_exact(f, schema_len, "schema").decode("utf-8")
@@ -99,7 +104,6 @@ def load_embedding(path: str | Path) -> Embedding:
         schema=schema,
         dim=dim,
         seed=seed,
-        generator=generator,
         token_vectors=tok,
         attribute_matrices=mats,
         fingerprint=embedding_fingerprint(schema, dim, seed),

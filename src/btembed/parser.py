@@ -35,9 +35,6 @@ class RuleSet:
     arg_matrices: tuple[np.ndarray, ...]
     fingerprint: str
 
-    def max_arity(self) -> int:
-        return len(self.arg_matrices)
-
 
 @dataclass
 class ParseState:
@@ -45,11 +42,6 @@ class ParseState:
 
     slots: list[np.ndarray]
     steps: int = field(default=0)
-
-
-def pattern_arity(rule: Rule) -> int:
-    # chain terms are near-orthonormal, so the squared norm rounds to the length
-    return int(np.rint(rule.pattern @ rule.pattern))
 
 
 def window_vector(state: ParseState, j: int, m: int, next_matrix: np.ndarray) -> np.ndarray:

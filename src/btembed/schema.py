@@ -85,6 +85,15 @@ class Schema:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Schema":
+        """Read a schema mapping, raising typed errors on defects."""
+        if not isinstance(raw, dict):
+            raise ValueError("schema must be a JSON object")
+        if "tokens" not in raw or "attributes" not in raw:
+            raise EmptyAlphabetError("schema mapping needs 'tokens' and 'attributes'")
+        for key in ("tokens", "attributes"):
+            names = raw[key]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise ValueError(f"schema {key} must be a list of strings")
         return cls(tuple(raw["tokens"]), tuple(raw["attributes"]))
 
     def canonical_json(self) -> str:
@@ -93,13 +102,6 @@ class Schema:
 
     def digest(self) -> bytes:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).digest()
-
-
-def validate_schema(raw: dict) -> Schema:
-    """Parse and validate a schema mapping, raising typed errors on defects."""
-    if "tokens" not in raw or "attributes" not in raw:
-        raise EmptyAlphabetError("schema mapping needs 'tokens' and 'attributes'")
-    return Schema.from_dict(raw)
 
 
 @dataclass(frozen=True)
@@ -175,21 +177,23 @@ class Tree:
         kids = tuple((a, rebuilt if a == head else s) for a, s in self.children)
         return Tree(self.label, kids)
 
-    def to_dict(self, schema: Schema | None = None) -> dict:
-        """Plain mapping form; with a schema, labels and attributes are named."""
-        if schema is None:
-            kids = {str(a): sub.to_dict() for a, sub in self.children}
-            return {"label": self.label, "children": kids}
+    def to_dict(self, schema: Schema) -> dict:
+        """Plain mapping form with labels and attributes named by the schema."""
         kids = {schema.attributes[a]: sub.to_dict(schema) for a, sub in self.children}
         return {"label": schema.tokens[self.label], "children": kids}
 
     @classmethod
-    def from_dict(cls, raw: dict, schema: Schema | None = None) -> "Tree":
-        kids_raw = raw.get("children") or {}
-        if schema is None:
-            items = {int(a): cls.from_dict(sub) for a, sub in kids_raw.items()}
-            return cls.make(int(raw["label"]), items)
+    def from_dict(cls, raw: dict, schema: Schema) -> "Tree":
+        """Read the named mapping form, raising ValueError on a malformed node."""
+        if not isinstance(raw, dict):
+            raise ValueError("tree node must be a JSON object")
+        label = raw.get("label")
+        if not isinstance(label, str):
+            raise ValueError("tree label must be a string")
+        kids_raw = raw.get("children", {})
+        if not isinstance(kids_raw, dict):
+            raise ValueError("tree children must be a JSON object")
         items = {
             schema.attribute_index(a): cls.from_dict(sub, schema) for a, sub in kids_raw.items()
         }
-        return cls.make(schema.token_index(raw["label"]), items)
+        return cls.make(schema.token_index(label), items)

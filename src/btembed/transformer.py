@@ -28,12 +28,15 @@ from .schema import NEXT
 from .vectors import BTVector
 
 
+# Query position codes are redrawn until no two of them overlap by this much.
+POS_OVERLAP_BOUND = 0.3
+
+
 @dataclass(frozen=True)
 class XfConfig:
     k: int = 64
     attn_sharpness: float = 100.0
     gate_constant: float = 1e4
-    pos_overlap_bound: float = 0.3
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ def build_position_codes(
     n: int,
     k: int,
     rng: np.random.Generator,
-    overlap_bound: float = 0.3,
+    overlap_bound: float = POS_OVERLAP_BOUND,
     retries: int = 100,
 ) -> PositionCodes:
     """Resample (p_1, Z) until all off-diagonal overlaps stay under the bound.
@@ -98,14 +101,6 @@ class SeqState:
     r: np.ndarray
     t: np.ndarray
 
-    @property
-    def n_slots(self) -> int:
-        return self.pos.shape[0]
-
-    @property
-    def slot_width(self) -> int:
-        return self.pos.shape[1] + 4 * self.v.shape[1]
-
     def as_matrix(self) -> np.ndarray:
         return np.concatenate([self.pos, self.v, self.w, self.r, self.t], axis=1)
 
@@ -120,7 +115,7 @@ def query_position_codes(
     """
     base = e.seed if seed is None else seed
     rng = np.random.default_rng([base, n])
-    return build_position_codes(n, cfg.k, rng, cfg.pos_overlap_bound)
+    return build_position_codes(n, cfg.k, rng)
 
 
 def _attr_indices(e: Embedding, path: Sequence[int | str]) -> list[int]:

@@ -7,6 +7,7 @@ the bottom goes through a real subprocess to cover the console entry point.
 from __future__ import annotations
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ import pytest
 import btembed.transformer
 from btembed import (
     BTVector,
+    Schema,
     Tree,
     XfConfig,
     balanced_parens_grammar,
@@ -27,7 +29,6 @@ from btembed import (
     save_grammar,
     save_vector,
     symbolic_parse,
-    validate_schema,
 )
 from btembed.cli import main
 
@@ -66,7 +67,7 @@ def ws(tmp_path_factory):
 class TestGenSchema:
     def test_output_is_valid_schema(self, ws):
         blob = json.loads(ws["schema"].read_text())
-        schema = validate_schema(blob)
+        schema = Schema.from_dict(blob)
         assert schema.n_tokens == 12
         assert schema.n_attributes == 2
         assert schema.attributes == ("next", "arg1")
@@ -112,10 +113,57 @@ class TestEncodeDecode:
                    "-o", str(out)])
         assert rc == 2
 
+    def test_header_sized_vector_exits_2(self, ws, capsys):
+        # declares 2**32 - 1 floats in 48 bytes; refused before any allocation
+        p = ws["root"] / "huge.btv"
+        p.write_bytes(b"BTV1" + struct.pack("<I", 2**32 - 1) + bytes(40))
+        assert main(["decode", "--embedding", str(ws["emb"]), "--vector", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: truncated file")
+
     def test_tight_budget_exits_6(self, ws):
         rc = main(["decode", "--embedding", str(ws["emb"]), "--vector", str(ws["vec"]),
                    "--max-nodes", "1"])
         assert rc == 6
+
+
+def _deep_chain(depth: int) -> str:
+    text = '{"label": "t1"}'
+    for _ in range(depth - 1):
+        text = '{"label": "t1", "children": {"next": %s}}' % text
+    return text
+
+
+class TestJsonBoundary:
+    """Malformed tree and schema JSON exits 2 with one error line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"label": "t1", "children": "x"}',
+            '{"label": ["t1"]}',
+            '{"label": "t1", "children": {"next": 5}}',
+            _deep_chain(600),
+        ],
+        ids=["list", "children-string", "label-list", "child-int", "deep-chain"],
+    )
+    def test_bad_tree_exits_2(self, ws, capsys, text):
+        bad = ws["root"] / "malformed_tree.json"
+        bad.write_text(text)
+        rc = main(["encode", "--embedding", str(ws["emb"]), "--tree", str(bad),
+                   "-o", str(ws["root"] / "malformed.btv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_schema_exits_2(self, ws, capsys):
+        bad = ws["root"] / "malformed_schema.json"
+        bad.write_text('{"tokens": 5, "attributes": ["a"]}')
+        rc = main(["embed", "--schema", str(bad), "--dim", "16",
+                   "-o", str(ws["root"] / "malformed.bte")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +336,53 @@ class TestSeparation:
         assert main(args + ["-o", str(a)]) == 0
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Exact CSV bytes of fixed small runs; a change to any result shows here.
+GOLDEN_CSV = {
+    "list": (
+        "kind,d,l,trials,successes,success_rate,wall_time_ms\n"
+        "list,128,2,5,5,1.000000,\n"
+        "list,128,4,5,5,1.000000,\n"
+        "list,256,2,5,5,1.000000,\n"
+        "list,256,4,5,5,1.000000,\n"
+    ),
+    "tree": (
+        "kind,d,l,trials,successes,success_rate,wall_time_ms\n"
+        "tree,128,2,5,5,1.000000,\n"
+        "tree,128,4,5,1,0.200000,\n"
+        "tree,256,2,5,5,1.000000,\n"
+        "tree,256,4,5,5,1.000000,\n"
+    ),
+    "parse": (
+        "kind,d,l,trials,successes,success_rate,wall_time_ms\n"
+        "parse,128,2,5,5,1.000000,\n"
+        "parse,128,4,5,0,0.000000,\n"
+        "parse,256,2,5,5,1.000000,\n"
+        "parse,256,4,5,2,0.400000,\n"
+    ),
+    "separation": (
+        "d,depth,samples,max_abs_ip,jl_bound,violations\n"
+        "128,2,40,0.293541,0.960323,0\n"
+        "128,2,40,0.351201,0.960323,0\n"
+        "128,2,40,0.316432,0.960323,0\n"
+    ),
+}
+
+
+class TestGoldenCsv:
+    @pytest.mark.parametrize("kind", ["list", "tree", "parse"])
+    def test_sweep(self, tmp_path, kind):
+        out = tmp_path / "sweep.csv"
+        assert main(["experiment", "--kind", kind, "--dims", "128,256", "--sizes", "2,4",
+                     "--trials", "5", "-o", str(out)]) == 0
+        assert out.read_text() == GOLDEN_CSV[kind]
+
+    def test_separation(self, tmp_path):
+        out = tmp_path / "sep.csv"
+        assert main(["separation", "--dim", "128", "--depth", "2", "--samples", "40",
+                     "--runs", "3", "-o", str(out)]) == 0
+        assert out.read_text() == GOLDEN_CSV["separation"]
 
 
 class TestUsage:

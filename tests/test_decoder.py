@@ -37,7 +37,6 @@ class TestDecodeToken:
             schema=schema,
             dim=2,
             seed=0,
-            generator="philox",
             token_vectors=tv,
             attribute_matrices=np.eye(2)[None, :, :],
             fingerprint="exact-test",

@@ -86,9 +86,6 @@ class TestConstruction:
         assert not np.array_equal(a.token_vectors, b.token_vectors)
         assert a.fingerprint != b.fingerprint
 
-    def test_generator_name(self, emb_small):
-        assert emb_small.generator == "philox"
-
     def test_fingerprint_inputs(self):
         s = make_sweep_schema(6, 2)
         base = embedding_fingerprint(s, 64, 0)
@@ -309,7 +306,6 @@ class TestReadOnly:
             schema=emb_small.schema,
             dim=emb_small.dim,
             seed=emb_small.seed,
-            generator=emb_small.generator,
             token_vectors=tok,
             attribute_matrices=mats,
             fingerprint=emb_small.fingerprint,

@@ -13,6 +13,7 @@ from btembed import (
     save_grammar,
     symbolic_parse,
 )
+from btembed.grammar import MAX_BALANCED_LENGTH, ballot_count
 
 
 class TestParensFixtures:
@@ -76,9 +77,24 @@ class TestRandomBalanced:
         b = random_balanced(10, np.random.default_rng(7))
         assert a == b
 
-    def test_custom_tokens(self):
-        word = random_balanced(4, np.random.default_rng(8), open_token="(", close_token=")")
-        assert set(word) <= {"(", ")"}
+    def test_counts_match_brute_force(self):
+        # ways[i][h]: balanced completions from position i at height h
+        length = 20
+        ways = [[0] * (length + 2) for _ in range(length + 1)]
+        ways[length][0] = 1
+        for i in range(length - 1, -1, -1):
+            for h in range(length + 1):
+                ways[i][h] = ways[i + 1][h + 1] + (ways[i + 1][h - 1] if h else 0)
+        for i in range(length + 1):
+            for h in range(-1, length + 2):
+                want = ways[i][h] if 0 <= h <= length else 0
+                assert ballot_count(length - i, h) == want
+
+    def test_length_limit(self):
+        assert MAX_BALANCED_LENGTH == 70
+        assert len(random_balanced(70, np.random.default_rng(9))) == 70
+        with pytest.raises(ValueError, match="70"):
+            random_balanced(72, np.random.default_rng(9))
 
 
 class TestGrammarFiles:

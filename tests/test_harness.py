@@ -25,8 +25,6 @@ from btembed.harness import (
     separation_csv,
     sweep_csv,
     trial_rng,
-    write_separation_csv,
-    write_sweep_csv,
 )
 
 
@@ -58,7 +56,7 @@ class TestSweepSpec:
             dict(kind="parse", dims=(64,), sizes=(3,), trials=1),
             dict(kind="list", dims=(64,), sizes=(2,), trials=0),
             dict(kind="list", dims=(64,), sizes=(2,), trials=1, base_seed=-1),
-            dict(kind="list", dims=(64,), sizes=(2,), trials=1, n_tokens=0),
+            dict(kind="parse", dims=(64,), sizes=(72,), trials=1),
         ],
     )
     def test_invalid(self, kwargs):
@@ -206,8 +204,8 @@ class TestCsv:
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = SweepSpec(kind="list", dims=(128,), sizes=(2, 3), trials=4)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(run_sweep(spec), a)
-        write_sweep_csv(run_sweep(spec), b)
+        a.write_text(sweep_csv(run_sweep(spec)))
+        b.write_text(sweep_csv(run_sweep(spec)))
         assert a.read_bytes() == b.read_bytes()
 
     def test_separation_rerun_byte_identical(self, tmp_path):
@@ -215,6 +213,6 @@ class TestCsv:
         rows_a = [run_separation_probe(e, 2, 30, np.random.default_rng(46))]
         rows_b = [run_separation_probe(e, 2, 30, np.random.default_rng(46))]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_separation_csv(rows_a, a)
-        write_separation_csv(rows_b, b)
+        a.write_text(separation_csv(rows_a))
+        b.write_text(separation_csv(rows_b))
         assert a.read_bytes() == b.read_bytes()

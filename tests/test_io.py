@@ -31,7 +31,6 @@ class TestEmbeddingFile:
         back = load_embedding(p)
         assert back.schema == emb.schema
         assert back.seed == emb.seed
-        assert back.generator == emb.generator
         assert back.fingerprint == emb.fingerprint
         np.testing.assert_array_equal(back.token_vectors, emb.token_vectors)
         np.testing.assert_array_equal(back.attribute_matrices, emb.attribute_matrices)
@@ -109,6 +108,25 @@ class TestEmbeddingFile:
         with pytest.raises(FileFormatError):
             load_embedding(p)
 
+    def test_unknown_generator(self, emb, tmp_path):
+        p = tmp_path / "e.bte"
+        save_embedding(emb, p)
+        raw = bytearray(p.read_bytes())
+        raw[32 : 32 + len(b"philox")] = b"mt1993"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="generator"):
+            load_embedding(p)
+
+    def test_header_sizes_checked_before_reading(self, emb, tmp_path):
+        # a dim this large would make the payload reads ask for 275 GB
+        p = tmp_path / "e.bte"
+        save_embedding(emb, p)
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<I", raw, 8, 2**32 - 1)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError):
+            load_embedding(p)
+
     def test_digest_mismatch(self, emb, tmp_path):
         p = tmp_path / "e.bte"
         save_embedding(emb, p)
@@ -143,6 +161,13 @@ class TestVectorFile:
         p = tmp_path / "v.btv"
         save_vector(bt_encode(emb, Tree(0)), p)
         p.write_bytes(b"YYYY" + p.read_bytes()[4:])
+        with pytest.raises(FileFormatError):
+            load_vector(p)
+
+    def test_header_sized_payload(self, tmp_path):
+        # 48 bytes that declare 2**32 - 1 floats: refused before any allocation
+        p = tmp_path / "v.btv"
+        p.write_bytes(VECTOR_MAGIC + struct.pack("<I", 2**32 - 1) + bytes(32) + bytes(8))
         with pytest.raises(FileFormatError):
             load_vector(p)
 

@@ -23,7 +23,6 @@ from btembed import (
     match_window,
     parse,
     parse_vectors,
-    pattern_arity,
     random_balanced,
     symbolic_parse,
     window_vector,
@@ -40,14 +39,15 @@ def tok(e, name):
 
 class TestCompiledRules:
     def test_arity_from_pattern_norm(self, parens_ruleset):
-        assert [pattern_arity(r) for r in parens_ruleset.rules] == [2, 3, 2]
+        # chain terms are near-orthonormal, so the squared norm rounds to the length
+        assert [int(np.rint(r.pattern @ r.pattern)) for r in parens_ruleset.rules] == [2, 3, 2]
         assert [r.arity for r in parens_ruleset.rules] == [2, 3, 2]
 
     def test_names(self, parens_ruleset):
         assert parens_ruleset.rules[1].name == "L E R -> E"
 
     def test_max_arity(self, parens_ruleset):
-        assert parens_ruleset.max_arity() == 3
+        assert len(parens_ruleset.arg_matrices) == 3
 
     def test_replacement_is_token_vector(self, parens_embedding, parens_ruleset):
         np.testing.assert_array_equal(

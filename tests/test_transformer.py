@@ -130,8 +130,8 @@ class TestInitState:
         codes = build_position_codes(3, 64, np.random.default_rng(69))
         v = bt_encode(e, tree_small())
         state = init_state(e, v, ["next", "arg1"], codes)
-        assert state.n_slots == 3
-        assert state.slot_width == 64 + 4 * e.dim
+        assert state.pos.shape == (3, 64)
+        assert state.as_matrix().shape == (3, 64 + 4 * e.dim)
         np.testing.assert_array_equal(state.v[0], v.data)
         np.testing.assert_array_equal(state.v[1:], 0.0)
         np.testing.assert_array_equal(state.w, 0.0)
