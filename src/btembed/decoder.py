@@ -1,9 +1,11 @@
 """Recovering trees from embedding vectors.
 
 Token probes are inner products against the token matrix. A node is accepted
-when its best probe clears the threshold; children are then explored by
-undoing each attribute rotation with the matrix transpose and recursing, in
-schema attribute order. An absent subtree simply fails its root probe.
+when its best probe clears the threshold. Its child slots are then probed all
+at once through the embedding's child_probes, and only the slots that pass
+are entered, by undoing the attribute rotation with the matrix transpose and
+recursing, in schema attribute order. An absent subtree simply fails its
+probe.
 """
 
 from __future__ import annotations
@@ -45,15 +47,19 @@ class DecodeStats:
     max_depth: int = 0
 
 
-def decode_token(e: Embedding, v: BTVector | np.ndarray, threshold: float = 0.5) -> int | None:
-    """Best token index if its probe clears the threshold, else None.
+def best_token(scores: np.ndarray, threshold: float) -> int | None:
+    """Index of the highest probe score if it is strictly above threshold, else None.
 
-    Ties take the lowest index.
+    Ties take the lowest index. decode_token and the tree decoder both accept by this rule.
     """
-    data = v.data if isinstance(v, BTVector) else np.asarray(v)
-    scores = e.token_vectors @ data
     best = int(np.argmax(scores))
     return best if scores[best] > threshold else None
+
+
+def decode_token(e: Embedding, v: BTVector | np.ndarray, threshold: float = 0.5) -> int | None:
+    """Best token index if its probe clears the threshold, else None."""
+    data = v.data if isinstance(v, BTVector) else np.asarray(v)
+    return best_token(e.token_vectors @ data, threshold)
 
 
 def decode(e: Embedding, v: BTVector, config: DecodeConfig = DecodeConfig()) -> Tree | None:
@@ -65,27 +71,37 @@ def decode(e: Embedding, v: BTVector, config: DecodeConfig = DecodeConfig()) -> 
 def decode_with_stats(
     e: Embedding, v: BTVector, config: DecodeConfig = DecodeConfig()
 ) -> tuple[Tree | None, DecodeStats]:
+    """Decode v and count the work.
+
+    One child_probes product scores every child slot of an accepted node,
+    and only the slots that pass are rotated into, so a tree of n nodes costs
+    n - 1 dim x dim products. A visit is one slot probed (the root counts as
+    one), and budgets are checked on each accepted node, depth first.
+    """
     data = e.check(v)
     stats = DecodeStats()
-    n_attrs = e.schema.n_attributes
+    n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
 
-    def explore(u: np.ndarray, depth: int) -> Tree | None:
+    def probe(scores: np.ndarray) -> int | None:
         stats.visits += 1
-        stats.probes += e.schema.n_tokens
-        label = decode_token(e, u, config.threshold)
-        if label is None:
-            return None
+        stats.probes += n_tokens
+        return best_token(scores, config.threshold)
+
+    def explore(u: np.ndarray, label: int, depth: int) -> Tree:
         if depth > config.max_depth:
             raise BudgetExceededError(f"decode exceeded max_depth {config.max_depth}")
         stats.nodes += 1
         if stats.nodes > config.max_nodes:
             raise BudgetExceededError(f"decode exceeded max_nodes {config.max_nodes}")
         stats.max_depth = max(stats.max_depth, depth)
+        slot_scores = (e.child_probes @ u).reshape(n_attrs, n_tokens)
         children = []
         for attr in range(n_attrs):
-            sub = explore(e.attribute_matrices[attr].T @ u, depth + 1)
-            if sub is not None:
+            child = probe(slot_scores[attr])
+            if child is not None:
+                sub = explore(e.attribute_matrices[attr].T @ u, child, depth + 1)
                 children.append((attr, sub))
         return Tree(label, tuple(children))
 
-    return explore(data, 0), stats
+    root = probe(e.token_vectors @ data)
+    return (None if root is None else explore(data, root, 0)), stats

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,6 +68,18 @@ class Embedding:
         for name in ("token_vectors", "attribute_matrices"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
+    @cached_property
+    def child_probes(self) -> np.ndarray:
+        """Token probes of every child slot, shape (n_attributes * n_tokens, dim).
+
+        Row a * n_tokens + t is token_vectors[t] @ attribute_matrices[a].T, so
+        child_probes @ u scores token t in child slot a of u without rotating
+        u. Built on first use and kept read-only, so making or loading an
+        embedding never pays for it.
+        """
+        probes = self.token_vectors @ self.attribute_matrices.transpose(0, 2, 1)
+        return read_only(probes.reshape(-1, self.dim))
+
     def token_vector(self, token: int | str) -> np.ndarray:
         idx = self.schema.token_index(token) if isinstance(token, str) else token
         return self.token_vectors[idx]
@@ -84,6 +97,8 @@ class Embedding:
                 f"vector fingerprint {v.fingerprint[:12]} does not match "
                 f"embedding {self.fingerprint[:12]}"
             )
+        if v.dim != self.dim:
+            raise SchemaMismatchError(f"vector has dim {v.dim}, embedding has dim {self.dim}")
         return v.data
 
 

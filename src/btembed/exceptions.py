@@ -22,7 +22,7 @@ class DimensionTooSmallError(BTError):
 
 
 class SchemaMismatchError(BTError):
-    """Operands carry fingerprints of different embeddings."""
+    """Operands come from different embeddings, or a vector's dim is not its embedding's."""
 
 
 class BudgetExceededError(BTError):

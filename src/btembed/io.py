@@ -127,4 +127,6 @@ def load_vector(path: str | Path) -> BTVector:
         data = np.frombuffer(_read_exact(f, dim * 8, "payload"), dtype="<f8")
         if f.read(1):
             raise FileFormatError("trailing bytes after payload")
+    if not np.isfinite(data).all():
+        raise FileFormatError("vector payload holds NaN or infinite values")
     return BTVector(data, fingerprint)

@@ -120,6 +120,24 @@ class TestEncodeDecode:
         assert main(["decode", "--embedding", str(ws["emb"]), "--vector", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error: truncated file")
 
+    @pytest.mark.parametrize("command", ["decode", "transformer-query"])
+    def test_wrong_dim_vector_exits_3(self, ws, capsys, command):
+        # the embedding's fingerprint on 3 floats, where the embedding has 256
+        e = load_embedding(ws["emb"])
+        p = ws["root"] / "short.btv"
+        save_vector(BTVector(np.ones(3), e.fingerprint), p)
+        assert main([command, "--embedding", str(ws["emb"]), "--vector", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: vector has dim 3") and err.count("\n") == 1
+
+    def test_non_finite_vector_exits_2(self, ws, capsys):
+        e = load_embedding(ws["emb"])
+        p = ws["root"] / "nan.btv"
+        save_vector(BTVector(np.full(e.dim, np.nan), e.fingerprint), p)
+        assert main(["decode", "--embedding", str(ws["emb"]), "--vector", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vector payload holds NaN") and err.count("\n") == 1
+
     def test_tight_budget_exits_6(self, ws):
         rc = main(["decode", "--embedding", str(ws["emb"]), "--vector", str(ws["vec"]),
                    "--max-nodes", "1"])

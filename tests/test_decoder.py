@@ -6,6 +6,7 @@ import pytest
 from btembed import (
     BudgetExceededError,
     DecodeConfig,
+    DecodeStats,
     Embedding,
     Schema,
     Tree,
@@ -13,8 +14,12 @@ from btembed import (
     decode,
     decode_token,
     decode_with_stats,
+    load_embedding,
+    make_embedding,
+    make_sweep_schema,
+    random_tree,
+    save_embedding,
 )
-from btembed import random_tree
 
 
 def path_set(tree: Tree | None):
@@ -30,7 +35,8 @@ class TestDecodeToken:
         assert decode_token(emb_small, np.zeros(emb_small.dim)) is None
 
     def exact_embedding(self) -> Embedding:
-        # hand-built axis-aligned embedding so probe values are exact floats
+        # hand-built axis-aligned embedding so probe values are exact floats;
+        # the attribute flips the sign, so no child slot of a token scores above 0
         schema = Schema(("a", "b", "a_attr"), ("a_attr",))
         tv = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         return Embedding(
@@ -38,7 +44,7 @@ class TestDecodeToken:
             dim=2,
             seed=0,
             token_vectors=tv,
-            attribute_matrices=np.eye(2)[None, :, :],
+            attribute_matrices=-np.eye(2)[None, :, :],
             fingerprint="exact-test",
         )
 
@@ -51,6 +57,104 @@ class TestDecodeToken:
     def test_tie_breaks_to_lowest_index(self):
         # duplicate token rows force an exact tie
         assert decode_token(self.exact_embedding(), np.array([1.0, 0.0])) == 0
+
+    def test_hand_built_embedding_decodes(self):
+        e = self.exact_embedding()
+        tree, stats = decode_with_stats(e, e.wrap(np.array([0.0, 1.0])))
+        assert tree == Tree(2)
+        assert (stats.visits, stats.nodes) == (2, 1)
+        np.testing.assert_array_equal(e.child_probes, -e.token_vectors)
+
+
+def rotate_then_probe(e: Embedding, v, config: DecodeConfig) -> tuple[Tree | None, DecodeStats]:
+    """Reference decoder: rotate into every child slot with M_attr^T, then probe it."""
+    stats = DecodeStats()
+
+    def explore(u: np.ndarray, depth: int) -> Tree | None:
+        stats.visits += 1
+        stats.probes += e.schema.n_tokens
+        scores = e.token_vectors @ u
+        label = int(np.argmax(scores))
+        if not scores[label] > config.threshold:
+            return None
+        if depth > config.max_depth:
+            raise BudgetExceededError(f"decode exceeded max_depth {config.max_depth}")
+        stats.nodes += 1
+        if stats.nodes > config.max_nodes:
+            raise BudgetExceededError(f"decode exceeded max_nodes {config.max_nodes}")
+        stats.max_depth = max(stats.max_depth, depth)
+        children = []
+        for attr in range(e.schema.n_attributes):
+            sub = explore(e.attribute_matrices[attr].T @ u, depth + 1)
+            if sub is not None:
+                children.append((attr, sub))
+        return Tree(label, tuple(children))
+
+    return explore(v.data, 0), stats
+
+
+def outcome(decoder, e: Embedding, v, config: DecodeConfig):
+    """A decoder's result, or the type and message of the budget error it raised."""
+    try:
+        return decoder(e, v, config)
+    except BudgetExceededError as err:
+        return type(err), str(err)
+
+
+class TestProbeBeforeRotate:
+    """decode_with_stats agrees with the rotate-then-probe reference exactly."""
+
+    def test_random_trees(self, emb_small):
+        rng = np.random.default_rng(57)
+        for _ in range(40):
+            # sizes past 8 include trees that decode wrong; those must agree too
+            tree = random_tree(int(rng.integers(1, 17)), 10, 2, rng)
+            v = bt_encode(emb_small, tree)
+            for cfg in (
+                DecodeConfig(),
+                DecodeConfig(threshold=0.3),
+                DecodeConfig(max_nodes=5),
+                DecodeConfig(max_depth=2),
+            ):
+                want = outcome(rotate_then_probe, emb_small, v, cfg)
+                assert outcome(decode_with_stats, emb_small, v, cfg) == want
+
+    def test_noise_that_trips_the_budgets(self, emb_small):
+        rng = np.random.default_rng(58)
+        errors = set()
+        for norm in (6.0, 10.0, 30.0):
+            for _ in range(4):
+                x = rng.standard_normal(emb_small.dim)
+                v = emb_small.wrap(x * (norm / np.linalg.norm(x)))
+                for cfg in (DecodeConfig(), DecodeConfig(max_nodes=40), DecodeConfig(max_depth=3)):
+                    want = outcome(rotate_then_probe, emb_small, v, cfg)
+                    assert outcome(decode_with_stats, emb_small, v, cfg) == want
+                    if want[0] is BudgetExceededError:
+                        errors.add(want[1].split()[2])
+        assert errors == {"max_depth", "max_nodes"}
+
+
+class TestChildProbes:
+    def test_rows_are_rotated_token_probes(self, emb_small):
+        n_tokens = emb_small.schema.n_tokens
+        for a in range(emb_small.schema.n_attributes):
+            for t in range(n_tokens):
+                np.testing.assert_allclose(
+                    emb_small.child_probes[a * n_tokens + t],
+                    emb_small.token_vectors[t] @ emb_small.attribute_matrices[a].T,
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    def test_built_on_first_use_and_read_only(self, tmp_path):
+        e = make_embedding(make_sweep_schema(3, 2), 16, 1)
+        save_embedding(e, tmp_path / "e.bte")
+        for emb in (e, load_embedding(tmp_path / "e.bte")):
+            assert "child_probes" not in emb.__dict__
+            probes = emb.child_probes
+            assert emb.child_probes is probes
+            with pytest.raises(ValueError):
+                probes[0, 0] = 1.0
 
 
 class TestDecode:

@@ -169,6 +169,12 @@ class TestEncoding:
         with pytest.raises(SchemaMismatchError):
             emb_small.check(v)
 
+    def test_check_rejects_wrong_dim(self, emb_small):
+        # the right fingerprint on a vector of the wrong length
+        v = BTVector(np.ones(3), emb_small.fingerprint)
+        with pytest.raises(SchemaMismatchError, match="dim 3"):
+            emb_small.check(v)
+
 
 class TestLists:
     def test_matches_reference(self, emb_small):

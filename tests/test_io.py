@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from btembed import (
+    BTVector,
     FileFormatError,
     Tree,
     bt_encode,
@@ -176,4 +177,13 @@ class TestVectorFile:
         save_vector(bt_encode(emb, Tree(0)), p)
         p.write_bytes(p.read_bytes()[:-1])
         with pytest.raises(FileFormatError):
+            load_vector(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, emb, tmp_path, bad):
+        data = bt_encode(emb, Tree(0)).data.copy()
+        data[5] = bad
+        p = tmp_path / "v.btv"
+        save_vector(BTVector(data, emb.fingerprint), p)
+        with pytest.raises(FileFormatError, match="NaN or infinite"):
             load_vector(p)
