@@ -2,10 +2,11 @@
 Parsing balanced parentheses in vector space
 ============================================
 
-The rewrite engine never touches symbols. Rules are compiled to pattern
-vectors, windows are matched by inner product against a half-margin
-threshold, and every reduction writes a combined tree vector back into
-the slot list. Decoding the single surviving slot yields the parse tree.
+The rewrite engine never touches symbols. Each slot is given one head
+label when it is created, by the decoder's half-margin token probe; a
+window matches a rule when its head labels spell the rule's pattern, and
+every reduction writes a combined tree vector back into the slot list.
+Decoding the single surviving slot yields the parse tree.
 """
 
 from btembed import (

@@ -58,7 +58,6 @@ from .parser import (
     apply_replacement,
     match_window,
     parse_vectors,
-    window_vector,
 )
 from .schema import NEXT, Schema, Tree
 from .transformer import (

@@ -17,7 +17,7 @@ import numpy as np
 from .embedding import Embedding
 from .exceptions import BudgetExceededError
 from .schema import Tree
-from .vectors import BTVector
+from .vectors import BTVector, best_token
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,6 @@ class DecodeStats:
     probes: int = 0
     nodes: int = 0
     max_depth: int = 0
-
-
-def best_token(scores: np.ndarray, threshold: float) -> int | None:
-    """Index of the highest probe score if it is strictly above threshold, else None.
-
-    Ties take the lowest index. decode_token and the tree decoder both accept by this rule.
-    """
-    best = int(np.argmax(scores))
-    return best if scores[best] > threshold else None
 
 
 def decode_token(e: Embedding, v: BTVector | np.ndarray, threshold: float = 0.5) -> int | None:

@@ -99,6 +99,8 @@ class Embedding:
             )
         if v.dim != self.dim:
             raise SchemaMismatchError(f"vector has dim {v.dim}, embedding has dim {self.dim}")
+        if not np.isfinite(v.data).all():
+            raise ValueError("vector holds NaN or infinite values")
         return v.data
 
 

@@ -1,9 +1,9 @@
 """Grammar compilation, the symbolic reference parser, and grammar files.
 
 A grammar is a list of (pattern tokens, replacement token) rules. Compilation
-turns patterns into chain vectors so the engine can match them with one inner
-product; the symbolic parser applies the same scan order to plain tokens and
-is the oracle the vector engine is measured against.
+turns each pattern into the token indices the engine compares its slots' head
+labels with; the symbolic parser applies the same scan order to plain tokens
+and is the oracle the vector engine is measured against.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .embedding import Embedding, encode_list
+from .embedding import Embedding
 from .exceptions import ArityExceededError
 from .parser import Rule, RuleSet, parse_vectors
 from .schema import NEXT, Schema, Tree
@@ -28,7 +28,7 @@ def arg_attributes(schema: Schema) -> list[str]:
 
 
 def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
-    """Encode each pattern as a token chain; the binding matrices are the embedding's own."""
+    """Look up each pattern's token indices; the probe and binding arrays are the embedding's own."""
     args = arg_attributes(e.schema)
     if not args:
         raise ArityExceededError("schema has no argument attributes")
@@ -43,15 +43,14 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
             )
         rules.append(
             Rule(
-                pattern=encode_list(e, list(pattern)).data,
+                pattern=tuple(e.schema.token_index(t) for t in pattern),
                 replacement=e.token_vector(replacement),
-                arity=len(pattern),
                 name=f"{' '.join(pattern)} -> {replacement}",
             )
         )
     return RuleSet(
         rules=tuple(rules),
-        next_matrix=e.attribute_matrix(NEXT),
+        head_probes=e.token_vectors,
         arg_matrices=tuple(e.attribute_matrix(a) for a in args),
         fingerprint=e.fingerprint,
     )
@@ -160,6 +159,16 @@ def save_grammar(grammar: GrammarRules, path: str | Path) -> None:
 
 
 def load_grammar(path: str | Path) -> list[tuple[tuple[str, ...], str]]:
+    """Read a grammar file, raising ValueError on a defect in its shape."""
     with open(path) as f:
         payload = json.load(f)
-    return [(tuple(r["pattern"]), r["replacement"]) for r in payload["rules"]]
+    rules = payload.get("rules") if isinstance(payload, dict) else None
+    if not isinstance(rules, list) or not all(isinstance(r, dict) for r in rules):
+        raise ValueError("grammar must be a JSON object with a 'rules' list of objects")
+    for r in rules:
+        pattern = r.get("pattern")
+        if not isinstance(pattern, list) or not all(isinstance(t, str) for t in pattern):
+            raise ValueError("rule pattern must be a list of token names")
+        if not isinstance(r.get("replacement"), str):
+            raise ValueError("rule replacement must be a token name")
+    return [(tuple(r["pattern"]), r["replacement"]) for r in rules]

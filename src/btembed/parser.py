@@ -1,77 +1,68 @@
 """Rewriting engine over embedding-space slots.
 
-The engine never sees tokens, trees, or schemas. It works with exactly four
-kinds of data: input slot vectors, compiled rule vectors, the next-shift
-matrix, and the argument attribute matrices. Match tests and replacements are
-all inner products and matrix-vector products.
+The engine never sees token names, trees, or schemas, only slot vectors,
+compiled rules, the token probe matrix and the argument attribute matrices.
+Each slot's head label is read once, by the decoder's threshold probe, when
+the slot is created; a window matches a rule when its head labels spell the
+rule's pattern, and a replacement is a sum of matrix-vector products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NoParseError, SchemaMismatchError, StepBudgetExceededError
-from .vectors import BTVector
+from .vectors import BTVector, best_token
 
 
 @dataclass(frozen=True)
 class Rule:
-    """Compiled rule: chain-encoded pattern, replacement token vector, arity."""
+    """Compiled rule: pattern token indices and the replacement token vector."""
 
-    pattern: np.ndarray
+    pattern: tuple[int, ...]
     replacement: np.ndarray
-    arity: int
     name: str = ""
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Compiled rules plus the embedding's next and argument matrices, shared, not copied."""
+    """Compiled rules plus the embedding's token probes and argument matrices, shared, not copied."""
 
     rules: tuple[Rule, ...]
-    next_matrix: np.ndarray
+    head_probes: np.ndarray
     arg_matrices: tuple[np.ndarray, ...]
     fingerprint: str
 
 
 @dataclass
 class ParseState:
-    """Mutable slot list with a step counter."""
+    """Mutable slot list, each slot's head label, and a step counter."""
 
     slots: list[np.ndarray]
-    steps: int = field(default=0)
+    heads: list[int | None]
+    steps: int = 0
 
 
-def window_vector(state: ParseState, j: int, m: int, next_matrix: np.ndarray) -> np.ndarray:
-    """Chain-combine slots j..j+m-1 exactly like a freshly encoded list."""
-    acc = state.slots[j + m - 1]
-    for k in range(m - 2, -1, -1):
-        acc = state.slots[j + k] + next_matrix @ acc
-    return acc
+def match_window(rule: Rule, state: ParseState, j: int) -> bool:
+    """Whether the head labels of the slots from j on spell the rule's pattern."""
+    return tuple(state.heads[j : j + len(rule.pattern)]) == rule.pattern
 
 
-def match_window(rule: Rule, state: ParseState, j: int, next_matrix: np.ndarray) -> bool:
-    """Inner-product test against the current slots, recomputed per call."""
-    m = rule.arity
-    if j + m > len(state.slots):
-        return False
-    x = window_vector(state, j, m, next_matrix)
-    return float(rule.pattern @ x) > m - 0.5
-
-
-def apply_replacement(rule: Rule, state: ParseState, j: int, arg_matrices: tuple[np.ndarray, ...]) -> None:
+def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -> None:
     """Collapse the window into one slot holding the replacement node.
 
     The new slot is the replacement token plus each consumed slot bound under
     its argument attribute, so the parse tree builds up inside the vector.
+    The new slot's head label is its best token probe above 0.5, read once, here.
     """
-    m = rule.arity
+    m = len(rule.pattern)
     new = rule.replacement.copy()
     for k in range(m):
-        new += arg_matrices[k] @ state.slots[j + k]
+        new += ruleset.arg_matrices[k] @ state.slots[j + k]
     state.slots[j : j + m] = [new]
+    state.heads[j : j + m] = [best_token(ruleset.head_probes @ new, 0.5)]
     state.steps += 1
 
 
@@ -85,18 +76,18 @@ def parse_vectors(slots: list[BTVector], ruleset: RuleSet, max_steps: int | None
     if not slots:
         raise NoParseError("no input slots")
     fp = ruleset.fingerprint
-    for v in slots:
-        if v.fingerprint != fp:
-            raise SchemaMismatchError("slot fingerprint does not match ruleset")
+    if any(v.fingerprint != fp for v in slots):
+        raise SchemaMismatchError("slot fingerprint does not match ruleset")
     if max_steps is None:
         max_steps = 4 * len(slots) ** 2
-    state = ParseState([v.data for v in slots])
+    data = [v.data for v in slots]
+    state = ParseState(data, [best_token(ruleset.head_probes @ s, 0.5) for s in data])
     while True:
         hit = False
         for rule in ruleset.rules:
-            for j in range(len(state.slots) - rule.arity + 1):
-                if match_window(rule, state, j, ruleset.next_matrix):
-                    apply_replacement(rule, state, j, ruleset.arg_matrices)
+            for j in range(len(state.slots) - len(rule.pattern) + 1):
+                if match_window(rule, state, j):
+                    apply_replacement(rule, state, j, ruleset)
                     if state.steps > max_steps:
                         raise StepBudgetExceededError(
                             f"exceeded {max_steps} rewrite steps"

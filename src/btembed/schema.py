@@ -15,8 +15,7 @@ from typing import Iterator
 
 from .exceptions import DuplicateNameError, EmptyAlphabetError, NonReflexiveError
 
-# The attribute that chains lists. Lists, the transformer's path channel and
-# the parser's windows all shift along it.
+# The attribute that chains lists; the transformer's path channel shifts along it too.
 NEXT = "next"
 
 

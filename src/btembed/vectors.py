@@ -1,4 +1,4 @@
-"""Embedding-space vectors tagged with their embedding's fingerprint."""
+"""Embedding-space vectors tagged with their embedding's fingerprint, and the token probe rule."""
 
 from __future__ import annotations
 
@@ -12,6 +12,12 @@ def read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
     return view
+
+
+def best_token(scores: np.ndarray, threshold: float) -> int | None:
+    """Index of the highest probe score, lowest on ties, if strictly above threshold, else None."""
+    best = int(np.argmax(scores))
+    return best if scores[best] > threshold else None
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,30 @@ class TestParse:
         assert rc == 2
 
 
+class TestGrammarBoundary:
+    """A grammar file of the wrong shape exits 2 with one error line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rules": [{"pattern": 5, "replacement": "E"}]},
+            [],
+            {"rules": "x"},
+            {"rules": [{"pattern": "LR", "replacement": "E"}]},
+            {"rules": [{"pattern": ["L", "R"], "replacement": 2}]},
+        ],
+        ids=["pattern-int", "top-level-list", "rules-string", "pattern-string", "replacement-int"],
+    )
+    def test_bad_grammar_exits_2(self, parse_ws, capsys, payload):
+        bad = parse_ws["root"] / "malformed_rules.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["parse", "--embedding", str(parse_ws["emb"]), "--rules", str(bad),
+                   "--input", "L R", "-o", str(parse_ws["root"] / "malformed.btv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestTransformerQuery:
     def test_path_query(self, ws, capsys):
         rc = main(["transformer-query", "--embedding", str(ws["emb"]),

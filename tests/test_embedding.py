@@ -19,12 +19,14 @@ from btembed import (
     attach,
     bt_encode,
     cardinality_estimate,
+    decode,
     encode_list,
     haar_orthogonal,
     make_embedding,
     make_sweep_schema,
     push,
     random_tree,
+    run_decoder,
     zero_vector,
 )
 from btembed.embedding import Embedding, embedding_fingerprint
@@ -174,6 +176,23 @@ class TestEncoding:
         v = BTVector(np.ones(3), emb_small.fingerprint)
         with pytest.raises(SchemaMismatchError, match="dim 3"):
             emb_small.check(v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda e, v: decode(e, v),
+            lambda e, v: run_decoder(e, v, []),
+            lambda e, v: attach(e, bt_encode(e, Tree(0)), (), 0, v),
+            lambda e, v: push(e, v, 0),
+        ],
+        ids=["decode", "run_decoder", "attach", "push"],
+    )
+    def test_non_finite_vector_rejected(self, emb_small, bad, op):
+        data = np.zeros(emb_small.dim)
+        data[5] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            op(emb_small, emb_small.wrap(data))
 
 
 class TestLists:

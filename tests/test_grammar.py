@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from btembed import (
+    BTError,
     Tree,
     arg_attributes,
     balanced_parens_grammar,
     balanced_parens_schema,
+    compile_rules,
     load_grammar,
     random_balanced,
     save_grammar,
@@ -97,6 +103,22 @@ class TestRandomBalanced:
             random_balanced(72, np.random.default_rng(9))
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+# mostly rule-shaped values, so that compile_rules sees more than the shape check
+TOKEN_NAMES = st.sampled_from(["L", "R", "E", "next", "arg1", "Q"])
+RULE_FIELDS = {
+    "pattern": st.lists(TOKEN_NAMES, max_size=5) | JSON_VALUES,
+    "replacement": TOKEN_NAMES | JSON_VALUES,
+}
+GRAMMAR_FILES = JSON_VALUES | st.fixed_dictionaries(
+    {"rules": st.lists(st.fixed_dictionaries(RULE_FIELDS) | JSON_VALUES, max_size=4) | JSON_VALUES}
+)
+
+
 class TestGrammarFiles:
     def test_round_trip(self, tmp_path):
         g = balanced_parens_grammar()
@@ -108,3 +130,35 @@ class TestGrammarFiles:
         p = tmp_path / "g.json"
         p.write_text('{"rules": [{"pattern": ["a", "b"], "replacement": "c"}]}\n')
         assert load_grammar(p) == [(("a", "b"), "c")]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # the CLI tests cover the other malformed shapes
+            {"rules": ["x"]},
+            {"rules": [{"pattern": ["L", 1], "replacement": "E"}]},
+            {"rules": [{"replacement": "E"}]},
+        ],
+    )
+    def test_malformed_shape_raises_value_error(self, tmp_path, payload):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_grammar(p)
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(payload=GRAMMAR_FILES)
+    def test_arbitrary_json_fails_typed(self, tmp_path, parens_embedding, payload):
+        # any JSON value either compiles or raises one of the documented types
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps(payload))
+        try:
+            compile_rules(parens_embedding, load_grammar(p))
+        except (ValueError, KeyError, BTError):
+            pass

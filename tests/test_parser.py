@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,10 @@ from btembed import (
     parse_vectors,
     random_balanced,
     symbolic_parse,
-    window_vector,
 )
+from btembed.harness import cell_seed, trial_rng
 from btembed.parser import apply_replacement
+from btembed.vectors import best_token
 
 GRAMMAR = balanced_parens_grammar()
 SCHEMA = balanced_parens_schema()
@@ -37,11 +39,29 @@ def tok(e, name):
     return e.token_vector(name).copy()
 
 
+def state_of(e, ruleset, names):
+    slots = [tok(e, n) for n in names]
+    return ParseState(slots, [best_token(ruleset.head_probes @ s, 0.5) for s in slots])
+
+
+def balanced_words(length):
+    """Every balanced L/R word of the given length, by brute force."""
+    words = []
+    for bits in itertools.product("LR", repeat=length):
+        depth = 0
+        for c in bits:
+            depth += 1 if c == "L" else -1
+            if depth < 0:
+                break
+        if depth == 0:
+            words.append(list(bits))
+    return words
+
+
 class TestCompiledRules:
-    def test_arity_from_pattern_norm(self, parens_ruleset):
-        # chain terms are near-orthonormal, so the squared norm rounds to the length
-        assert [int(np.rint(r.pattern @ r.pattern)) for r in parens_ruleset.rules] == [2, 3, 2]
-        assert [r.arity for r in parens_ruleset.rules] == [2, 3, 2]
+    def test_pattern_is_token_indices(self, parens_ruleset):
+        L, R, E = (SCHEMA.token_index(t) for t in ("L", "R", "E"))
+        assert [r.pattern for r in parens_ruleset.rules] == [(L, R), (L, E, R), (E, E)]
 
     def test_names(self, parens_ruleset):
         assert parens_ruleset.rules[1].name == "L E R -> E"
@@ -56,11 +76,14 @@ class TestCompiledRules:
 
     def test_matrices_are_the_embeddings_own(self, parens_embedding, parens_ruleset):
         mats = parens_embedding.attribute_matrices
-        for m in (parens_ruleset.next_matrix, *parens_ruleset.arg_matrices):
+        for m in parens_ruleset.arg_matrices:
             assert np.shares_memory(m, mats)
             assert not m.flags.owndata
+        probes = parens_ruleset.head_probes
+        assert np.shares_memory(probes, parens_embedding.token_vectors)
+        assert not probes.flags.owndata
         with pytest.raises(ValueError):
-            parens_ruleset.next_matrix[0, 0] = 1.0
+            probes[0, 0] = 1.0
         for rule in parens_ruleset.rules:
             assert not rule.replacement.flags.writeable
 
@@ -81,38 +104,33 @@ class TestCompiledRules:
 
 
 class TestWindows:
-    def test_window_vector_equals_fresh_chain(self, parens_embedding, parens_ruleset):
-        from btembed import encode_list
-
-        e = parens_embedding
-        state = ParseState([tok(e, "L"), tok(e, "E"), tok(e, "R")])
-        win = window_vector(state, 0, 3, parens_ruleset.next_matrix)
-        np.testing.assert_allclose(win, encode_list(e, ["L", "E", "R"]).data, atol=1e-12)
+    def test_head_labels(self, parens_embedding, parens_ruleset):
+        state = state_of(parens_embedding, parens_ruleset, ["L", "E", "R"])
+        assert state.heads == [SCHEMA.token_index(t) for t in ("L", "E", "R")]
 
     def test_match_basic(self, parens_embedding, parens_ruleset):
-        e = parens_embedding
         lr, ler, ee = parens_ruleset.rules
-        state = ParseState([tok(e, "L"), tok(e, "R")])
-        assert match_window(lr, state, 0, parens_ruleset.next_matrix)
-        assert not match_window(ee, state, 0, parens_ruleset.next_matrix)
+        state = state_of(parens_embedding, parens_ruleset, ["L", "R"])
+        assert match_window(lr, state, 0)
+        assert not match_window(ee, state, 0)
         # window wider than the remaining slots can never match
-        assert not match_window(ler, state, 0, parens_ruleset.next_matrix)
+        assert not match_window(ler, state, 0)
 
     def test_match_reads_current_slots(self, parens_embedding, parens_ruleset):
-        e = parens_embedding
+        # a match reads the head labels the slots hold now
         lr, _, ee = parens_ruleset.rules
-        state = ParseState([tok(e, "L"), tok(e, "R")])
-        assert match_window(lr, state, 0, parens_ruleset.next_matrix)
-        state.slots[0] = tok(e, "E")
-        state.slots[1] = tok(e, "E")
-        assert not match_window(lr, state, 0, parens_ruleset.next_matrix)
-        assert match_window(ee, state, 0, parens_ruleset.next_matrix)
+        state = state_of(parens_embedding, parens_ruleset, ["L", "R"])
+        assert match_window(lr, state, 0)
+        state.heads[:] = [SCHEMA.token_index("E")] * 2
+        assert not match_window(lr, state, 0)
+        assert match_window(ee, state, 0)
 
     def test_apply_replacement_builds_node(self, parens_embedding, parens_ruleset):
         e = parens_embedding
-        state = ParseState([tok(e, "L"), tok(e, "R")])
-        apply_replacement(parens_ruleset.rules[0], state, 0, parens_ruleset.arg_matrices)
+        state = state_of(e, parens_ruleset, ["L", "R"])
+        apply_replacement(parens_ruleset.rules[0], state, 0, parens_ruleset)
         assert len(state.slots) == 1
+        assert state.heads == [SCHEMA.token_index("E")]
         assert state.steps == 1
         expected = bt_encode(
             e,
@@ -179,6 +197,25 @@ class TestParse:
                 word = random_balanced(length, rng)
                 v = parse(parens_embedding, word, parens_ruleset)
                 assert decode(parens_embedding, v) == self.sym(word), word
+
+    def test_every_short_word_parses_exactly(self):
+        # c09's embedding; lengths 2..10 hold 1 + 2 + 5 + 14 + 42 words
+        e = make_embedding(SCHEMA, 1000, cell_seed(0, 3, 1000, 12))
+        ruleset = compile_rules(e, GRAMMAR)
+        words = [w for length in range(2, 11, 2) for w in balanced_words(length)]
+        assert len(words) == 64
+        for word in words:
+            v = parse(e, word, ruleset)
+            np.testing.assert_array_equal(v.data, bt_encode(e, self.sym(word)).data, err_msg=str(word))
+
+    def test_long_words_parse_exactly(self):
+        # long words, where the slots carry many nodes and their probes the most cross-talk
+        e = make_embedding(SCHEMA, 1000, 3)
+        ruleset = compile_rules(e, GRAMMAR)
+        for t in range(30):
+            word = random_balanced(40, trial_rng(7, 3, 1000, 40, t))
+            v = parse(e, word, ruleset)
+            np.testing.assert_array_equal(v.data, bt_encode(e, self.sym(word)).data, err_msg=str(t))
 
     def test_unbalanced_raises(self, parens_embedding, parens_ruleset):
         with pytest.raises(NoParseError):
