@@ -141,20 +141,21 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
 
     enc(node) = token(label) + sum over children of M_attr @ enc(child),
     which equals the per-node path-product sum without ever materializing a
-    matrix chain; cost is one matrix-vector product per edge.
+    matrix chain; cost is one matrix-vector product per edge. The fold is
+    iterative, so depth is bounded only by memory.
     """
 
-    def enc(node: Tree) -> np.ndarray:
+    def enc(node: Tree, subs: list[np.ndarray]) -> np.ndarray:
         if node.label >= e.schema.n_tokens:
             raise ValueError(f"label {node.label} outside schema")
         acc = e.token_vectors[node.label].copy()
-        for attr, sub in node.children:
+        for (attr, _), sub in zip(node.children, subs):
             if attr >= e.schema.n_attributes:
                 raise ValueError(f"attribute {attr} outside schema")
-            acc += e.attribute_matrices[attr] @ enc(sub)
+            acc += e.attribute_matrices[attr] @ sub
         return acc
 
-    return e.wrap(enc(tree))
+    return e.wrap(tree.fold(enc))
 
 
 def cardinality_estimate(v: BTVector) -> int:

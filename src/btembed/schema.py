@@ -11,12 +11,15 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .exceptions import DuplicateNameError, EmptyAlphabetError, NonReflexiveError
 
 # The attribute that chains lists; the transformer's path channel shifts along it too.
 NEXT = "next"
+
+N = TypeVar("N")
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,12 @@ class Tree:
                 return sub
         return None
 
+    def fold(self, combine: Callable[["Tree", list[T]], T]) -> T:
+        """Combine the tree bottom-up: combine(node, results of its children, in order)."""
+        return _fold_postorder(self, lambda node: [sub for _, sub in node.children], combine)
+
     def node_count(self) -> int:
-        return 1 + sum(sub.node_count() for _, sub in self.children)
+        return self.fold(lambda node, counts: 1 + sum(counts))
 
     def node_at(self, path: tuple[int, ...]) -> "Tree":
         """Follow a sequence of attribute indices from this node."""
@@ -178,21 +185,53 @@ class Tree:
 
     def to_dict(self, schema: Schema) -> dict:
         """Plain mapping form with labels and attributes named by the schema."""
-        kids = {schema.attributes[a]: sub.to_dict(schema) for a, sub in self.children}
-        return {"label": schema.tokens[self.label], "children": kids}
+
+        def named(node: Tree, kids: list[dict]) -> dict:
+            children = {schema.attributes[a]: kid for (a, _), kid in zip(node.children, kids)}
+            return {"label": schema.tokens[node.label], "children": children}
+
+        return self.fold(named)
 
     @classmethod
     def from_dict(cls, raw: dict, schema: Schema) -> "Tree":
         """Read the named mapping form, raising ValueError on a malformed node."""
-        if not isinstance(raw, dict):
-            raise ValueError("tree node must be a JSON object")
-        label = raw.get("label")
-        if not isinstance(label, str):
-            raise ValueError("tree label must be a string")
-        kids_raw = raw.get("children", {})
-        if not isinstance(kids_raw, dict):
-            raise ValueError("tree children must be a JSON object")
-        items = {
-            schema.attribute_index(a): cls.from_dict(sub, schema) for a, sub in kids_raw.items()
-        }
-        return cls.make(schema.token_index(label), items)
+
+        def children(node: object) -> list:
+            if not isinstance(node, dict):
+                raise ValueError("tree node must be a JSON object")
+            if not isinstance(node.get("label"), str):
+                raise ValueError("tree label must be a string")
+            kids_raw = node.get("children", {})
+            if not isinstance(kids_raw, dict):
+                raise ValueError("tree children must be a JSON object")
+            return list(kids_raw.values())
+
+        def build(node: dict, subs: list[Tree]) -> Tree:
+            names = node.get("children", {})
+            items = {schema.attribute_index(a): sub for a, sub in zip(names, subs)}
+            return cls.make(schema.token_index(node["label"]), items)
+
+        return _fold_postorder(raw, children, build)
+
+
+def _fold_postorder(
+    root: N, children: Callable[[N], list[N]], combine: Callable[[N, list[T]], T]
+) -> T:
+    """Fold a tree bottom-up with an explicit stack, so depth is not bounded by recursion.
+
+    children(node) lists a node's children; it runs on every node before any
+    of its descendants. combine(node, results) gets the children's results in
+    that order and returns the node's own.
+    """
+    stack = [(root, iter(children(root)), [])]
+    while True:
+        node, pending, results = stack[-1]
+        for child in pending:
+            stack.append((child, iter(children(child)), []))
+            break
+        else:
+            stack.pop()
+            value = combine(node, results)
+            if not stack:
+                return value
+            stack[-1][2].append(value)

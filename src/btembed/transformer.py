@@ -10,6 +10,12 @@ Slots concatenate five channels: position code p (k wide), working vector v,
 relay w, path r, and output t (d wide each). All nonlinearity lives in the
 two feed-forward passes; attention only routes w and the shifted r backward
 by one slot under a strict causal mask.
+
+The structured evaluator computes what the dense export computes, but skips
+work that provably adds exactly 0.0: ffn1 takes M_j^T v only for the (slot,
+attribute) pairs whose gate can pass it (in practice the one slot holding a
+live working vector, against its open gate), and attention does nothing for
+a one-slot query, whose causal weight row is all zero.
 """
 
 from __future__ import annotations
@@ -169,8 +175,10 @@ def attention_step(state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfC
 
     Value vectors carry (0, w_j, 0, M_next^T r_j, 0); the residual keeps
     everything else in place. The mask is strictly causal, so slot 1 receives
-    nothing.
+    nothing, and a one-slot query is returned as it is.
     """
+    if codes.n == 1:
+        return state  # the strict mask leaves a lone slot an all-zero weight row
     weights = attention_matrix(codes, cfg)
     nxt = e.attribute_matrix(NEXT)
     new_v = state.v + weights @ state.w
@@ -184,15 +192,28 @@ def ffn1(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
     y_j = C(<attr_j, r> - 1/2) saturates each gate; the gated relu pair passes
     M_j^T v - v only where the head matches, and the trailing relu pair
     cancels the residual w exactly, so w ends as f1.
+
+    s = M_j^T v_i is computed only for the (slot i, attribute j) pairs whose
+    term relu(y + s - v) - relu(y) can be nonzero. M_j is orthogonal, so every
+    entry of s - v is at most 2|v| in size (the third |v| below covers
+    rounding), and the term is exactly 0.0 in floating point when the gate is
+    - shut, y <= -3|v|: every relu input is negative; or
+    - flat, y >= 3|v| and 3|v| < spacing(y)/4: y + s - v rounds back to y.
+    A blank slot (v = 0) is always one or the other, and so is the ~1e-31
+    leakage that attention's softmax leaves in v beside the live slot.
     """
     c = cfg.gate_constant
     attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
     gates = c * (state.r @ attr_rows.T - 0.5)  # slots x attributes
     f1 = np.maximum(state.v, 0.0) - np.maximum(-state.v, 0.0)
+    bound = 3.0 * np.linalg.norm(state.v, axis=1, keepdims=True)
+    live = (gates > -bound) & ((gates < bound) | (bound >= np.spacing(gates) / 4.0))
     for j in range(e.schema.n_attributes):
-        stepped = state.v @ e.attribute_matrices[j]  # rows M_j^T v_i
-        yj = gates[:, j : j + 1]
-        f1 += np.maximum(yj + stepped - state.v, 0.0) - np.maximum(yj, 0.0)
+        rows = np.flatnonzero(live[:, j])
+        v = state.v[rows]
+        yj = gates[rows, j : j + 1]
+        stepped = v @ e.attribute_matrices[j]  # rows M_j^T v_i
+        f1[rows] += np.maximum(yj + stepped - v, 0.0) - np.maximum(yj, 0.0)
     return replace(state, w=f1)
 
 

@@ -148,6 +148,32 @@ class TestEncoding:
             v = bt_encode(emb_small, tree)
             np.testing.assert_allclose(v.data, reference_encode(emb_small, tree), atol=1e-10)
 
+    def test_accumulation_order_unchanged(self, emb_small):
+        # the recursive form adds each child's rotated vector in attribute order;
+        # the iterative fold must give the same bits
+        def recursive(node: Tree) -> np.ndarray:
+            acc = emb_small.token_vectors[node.label].copy()
+            for attr, sub in node.children:
+                acc += emb_small.attribute_matrices[attr] @ recursive(sub)
+            return acc
+
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            tree = random_tree(int(rng.integers(1, 30)), 10, 2, rng)
+            np.testing.assert_array_equal(bt_encode(emb_small, tree).data, recursive(tree))
+
+    def test_deep_chain(self):
+        e = make_embedding(make_sweep_schema(10, 2), 16, 1)
+        tree = Tree(1)
+        for _ in range(4999):
+            tree = Tree.make(0, {0: tree})
+        want = e.token_vectors[1].copy()
+        for _ in range(4999):
+            acc = e.token_vectors[0].copy()
+            acc += e.attribute_matrices[0] @ want
+            want = acc
+        np.testing.assert_array_equal(bt_encode(e, tree).data, want)
+
     def test_norm_preserved_by_attributes(self, emb_small):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(emb_small.dim)

@@ -167,3 +167,47 @@ class TestTreeSerialization:
         s = small_schema()
         with pytest.raises(KeyError):
             Tree.from_dict({"label": "qq", "children": {}}, schema=s)
+
+
+def deep_chain(depth: int) -> Tree:
+    tree = Tree(1)
+    for _ in range(depth - 1):
+        tree = Tree.make(0, {0: tree})
+    return tree
+
+
+class TestDeepTrees:
+    """Depth is bounded by memory, not by Python's recursion limit."""
+
+    DEPTH = 5000
+
+    def test_node_count(self):
+        assert deep_chain(self.DEPTH).node_count() == self.DEPTH
+
+    def test_dict_round_trip(self):
+        s = small_schema()
+        tree = deep_chain(self.DEPTH)
+        blob = tree.to_dict(s)
+        node, depth = blob, 1
+        while node["children"]:
+            assert node["label"] == "a" and list(node["children"]) == ["next"]
+            node, depth = node["children"]["next"], depth + 1
+        assert depth == self.DEPTH and node["label"] == "b"
+        # compared by paths: dataclass equality itself recurses per level
+        assert list(Tree.from_dict(blob, s).paths()) == list(tree.paths())
+
+    def test_malformed_leaf_of_deep_chain(self):
+        blob = deep_chain(self.DEPTH).to_dict(small_schema())
+        node = blob
+        while node["children"]:
+            node = node["children"]["next"]
+        node["children"] = {"next": 5}
+        with pytest.raises(ValueError, match="JSON object"):
+            Tree.from_dict(blob, small_schema())
+
+    def test_fold_order(self):
+        t = Tree.make(0, {1: Tree(2), 0: Tree.make(3, {0: Tree(4)})})
+        seen = []
+        total = t.fold(lambda node, kids: seen.append(node.label) or node.label + sum(kids))
+        assert seen == [4, 3, 2, 0]  # children before parents, in attribute order
+        assert total == 9

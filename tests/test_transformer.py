@@ -273,6 +273,124 @@ class TestRunDecoder:
             assert run_decoder(e, v, path) == run_decoder(e, v, path, hard)
 
 
+def ffn1_all_pairs(state, e, cfg):
+    """Reference ffn1: every slot through every attribute matrix, no pair skipped."""
+    c = cfg.gate_constant
+    attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
+    gates = c * (state.r @ attr_rows.T - 0.5)
+    f1 = np.maximum(state.v, 0.0) - np.maximum(-state.v, 0.0)
+    for j in range(e.schema.n_attributes):
+        stepped = state.v @ e.attribute_matrices[j]
+        yj = gates[:, j : j + 1]
+        f1 += np.maximum(yj + stepped - state.v, 0.0) - np.maximum(yj, 0.0)
+    return replace(state, w=f1)
+
+
+def attention_all_slots(state, codes, e, cfg):
+    """Reference attention_step: the weight matrix is applied even to a lone slot."""
+    weights = attention_matrix(codes, cfg)
+    nxt = e.attribute_matrix("next")
+    return replace(state, v=state.v + weights @ state.w, r=state.r + weights @ (state.r @ nxt))
+
+
+def block_all_pairs(state, codes, e, cfg):
+    return ffn2(ffn1_all_pairs(attention_all_slots(state, codes, e, cfg), e, cfg), e, cfg)
+
+
+def gate_inputs_to_r(e, inputs):
+    """Path rows whose gate inputs <attr_j, r> equal the given (slots x attributes) values."""
+    attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
+    return np.linalg.solve(attr_rows @ attr_rows.T, inputs.T).T @ attr_rows
+
+
+class TestLiveSlotFfn1:
+    """ffn1 skips only pairs whose gate term is exactly 0.0, so w matches the
+    all-pairs reference up to GEMV-versus-GEMM rounding."""
+
+    def test_matches_all_pairs_on_decoder_states(self, emb_paths):
+        e = emb_paths
+        rng = np.random.default_rng(81)
+        cfg = XfConfig()
+        for _ in range(10):
+            tree = random_tree(int(rng.integers(2, 9)), 30, 3, rng)
+            path = random_path(tree, rng, 4)
+            codes = build_position_codes(len(path) + 1, 64, rng)
+            state = init_state(e, bt_encode(e, tree), path, codes)
+            for _ in range(codes.n):
+                state = attention_step(state, codes, e, cfg)
+                got = ffn1(state, e, cfg)
+                want = ffn1_all_pairs(state, e, cfg)
+                np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-9)
+                state = ffn2(got, e, cfg)
+
+    def adversarial_state(self, e, case, rng):
+        n, d = 4, e.dim
+        codes = build_position_codes(n, 64, np.random.default_rng(82))
+        state = init_state(e, e.wrap(np.zeros(d)), [0, 1, 2], codes)
+        n_attrs = e.schema.n_attributes
+        if case == "zero":
+            return replace(state, r=np.zeros((n, d)))
+        trees = [random_tree(int(rng.integers(1, 6)), 30, 3, rng) for _ in range(n)]
+        v = np.stack([bt_encode(e, t).data for t in trees])
+        if case == "several-live":
+            inputs = rng.choice([0.0, 1.0], size=(n, n_attrs)) + 0.05 * rng.standard_normal((n, n_attrs))
+        elif case == "unsaturated":
+            # C(g - 1/2) within a few |v| of zero: the relus sit mid-band
+            inputs = 0.5 + rng.uniform(-1e-4, 1e-4, size=(n, n_attrs))
+        elif case == "tiny":
+            v *= 1e-30
+            inputs = rng.choice([0.0, 1.0], size=(n, n_attrs))
+        return replace(state, v=v, r=gate_inputs_to_r(e, inputs))
+
+    @pytest.mark.parametrize("case", ["several-live", "unsaturated", "tiny", "zero"])
+    def test_adversarial_states(self, emb_paths, case):
+        e = emb_paths
+        cfg = XfConfig()
+        state = self.adversarial_state(e, case, np.random.default_rng(83))
+        got = ffn1(state, e, cfg).w
+        want = ffn1_all_pairs(state, e, cfg).w
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        if case == "unsaturated":
+            # no pair may be skippable, or the case tests nothing
+            attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
+            gates = cfg.gate_constant * (state.r @ attr_rows.T - 0.5)
+            assert np.all(np.abs(gates) < 3.0 * np.linalg.norm(state.v, axis=1, keepdims=True))
+        if case in ("tiny", "zero"):
+            # every pair is shut or flat, so no product is taken and w is v
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, state.v)
+
+    def test_lone_slot_attention_is_identity(self, emb_paths):
+        e = emb_paths
+        codes = build_position_codes(1, 64, np.random.default_rng(84))
+        rng = np.random.default_rng(85)
+        state = init_state(e, bt_encode(e, tree_small()), [], codes)
+        state = replace(state, w=rng.standard_normal((1, e.dim)), r=rng.standard_normal((1, e.dim)))
+        got = attention_step(state, codes, e, XfConfig())
+        want = attention_all_slots(state, codes, e, XfConfig())
+        np.testing.assert_array_equal(got.v, want.v)
+        np.testing.assert_array_equal(got.r, want.r)
+
+    def test_blocks_match_all_pairs_reference(self, emb_paths):
+        # labels and the t and r channels are bitwise equal after every block
+        e = emb_paths
+        rng = np.random.default_rng(86)
+        cfg = XfConfig()
+        for _ in range(15):
+            tree = random_tree(int(rng.integers(1, 10)), 30, 3, rng)
+            path = random_path(tree, rng, 4)
+            codes = build_position_codes(len(path) + 1, 64, rng)
+            got = want = init_state(e, bt_encode(e, tree), path, codes)
+            for _ in range(codes.n):
+                got = block(got, codes, e, cfg)
+                want = block_all_pairs(want, codes, e, cfg)
+                np.testing.assert_array_equal(got.t, want.t)
+                np.testing.assert_array_equal(got.r, want.r)
+                np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-9)
+                labels = [decode_token(e, row) for row in got.t]
+                assert labels == [decode_token(e, row) for row in want.t]
+
+
 @pytest.fixture(scope="module")
 def small():
     e = make_embedding(make_sweep_schema(6, 2), 24, 91)
@@ -304,15 +422,27 @@ class TestDenseParity:
 
     def test_block_parity(self, small):
         e, codes = small
-        cfg = XfConfig(k=8)
-        tensors = export_weights(e, codes, cfg)
         rng = np.random.default_rng(93)
         tree = random_tree(5, 6, 2, rng)
         path = random_path(tree, rng, 3)
         while len(path) != 3:
             tree = random_tree(5, 6, 2, rng)
             path = random_path(tree, rng, 3)
-        state = init_state(e, bt_encode(e, tree), path, codes)
+        self.assert_parity(e, codes, init_state(e, bt_encode(e, tree), path, codes))
+
+    def test_block_parity_two_live_slots(self, small):
+        # a second slot with nonzero v exercises every skip ffn1 can make
+        e, codes = small
+        rng = np.random.default_rng(94)
+        trees = [random_tree(4, 6, 2, rng) for _ in range(2)]
+        state = init_state(e, bt_encode(e, trees[0]), [0, 1, 0], codes)
+        v = state.v.copy()
+        v[2] = bt_encode(e, trees[1]).data
+        self.assert_parity(e, codes, replace(state, v=v))
+
+    def assert_parity(self, e, codes, state):
+        cfg = XfConfig(k=8)
+        tensors = export_weights(e, codes, cfg)
         x = state.as_matrix()
         for _ in range(4):
             state = block(state, codes, e, cfg)
