@@ -3,8 +3,9 @@ Reading a path out of a tree vector with attention blocks
 =========================================================
 
 A fixed-weight decoder stack answers "what labels lie along this path"
-from the encoded vector alone. The path rides along as a shifted token
-chain; each block pulls one more attribute step through attention.
+from the encoded vector alone. The prompt gives each slot the token of the
+attribute that leads into it; each block relays the working vector one slot
+on through attention and takes one more attribute step.
 """
 
 from btembed import (

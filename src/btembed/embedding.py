@@ -81,12 +81,10 @@ class Embedding:
         return read_only(probes.reshape(-1, self.dim))
 
     def token_vector(self, token: int | str) -> np.ndarray:
-        idx = self.schema.token_index(token) if isinstance(token, str) else token
-        return self.token_vectors[idx]
+        return self.token_vectors[self.schema.token_index(token)]
 
     def attribute_matrix(self, attr: int | str) -> np.ndarray:
-        idx = self.schema.attribute_index(attr) if isinstance(attr, str) else attr
-        return self.attribute_matrices[idx]
+        return self.attribute_matrices[self.schema.attribute_index(attr)]
 
     def wrap(self, data: np.ndarray) -> BTVector:
         return BTVector(data, self.fingerprint)

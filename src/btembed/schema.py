@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, TypeVar
 
 from .exceptions import DuplicateNameError, EmptyAlphabetError, NonReflexiveError
 
-# The attribute that chains lists; the transformer's path channel shifts along it too.
+# The attribute that chains lists (encode_list, push).
 NEXT = "next"
 
 N = TypeVar("N")
@@ -57,17 +58,11 @@ class Schema:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def token_index(self, name: str) -> int:
-        try:
-            return self._token_lookup[name]
-        except KeyError:
-            raise KeyError(f"unknown token {name!r}") from None
+    def token_index(self, token: int | str) -> int:
+        return _checked_index(token, self._token_lookup, "token")
 
-    def attribute_index(self, name: str) -> int:
-        try:
-            return self._attribute_lookup[name]
-        except KeyError:
-            raise KeyError(f"unknown attribute {name!r}") from None
+    def attribute_index(self, attr: int | str) -> int:
+        return _checked_index(attr, self._attribute_lookup, "attribute")
 
     @cached_property
     def _token_lookup(self) -> dict[str, int]:
@@ -106,13 +101,22 @@ class Schema:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).digest()
 
 
-@dataclass(frozen=True)
+def _checked_index(key: int | str, lookup: dict[str, int], kind: str) -> int:
+    """The index of a name or of an in-range integer; KeyError for anything else."""
+    idx = lookup.get(key, -1) if isinstance(key, str) else operator.index(key)
+    if not 0 <= idx < len(lookup):
+        raise KeyError(f"unknown {kind} {key!r}")
+    return idx
+
+
+@dataclass(frozen=True, eq=False)
 class Tree:
     """Token-labeled tree with attribute-labeled edges.
 
     Children are keyed by attribute index, at most one child per attribute,
     and stored sorted by attribute index so structurally equal trees compare
-    equal. Instances are immutable.
+    equal. Instances are immutable. Equality, hashing and with_subtree use
+    explicit stacks, so depth is bounded only by memory.
     """
 
     label: int
@@ -133,6 +137,20 @@ class Tree:
         """Build a node from an unordered attribute-to-subtree mapping."""
         items = tuple(sorted((children or {}).items()))
         return cls(label, items)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.label != b.label or [x for x, _ in a.children] != [y for y, _ in b.children]:
+                return False
+            stack += ((sa, sb) for (_, sa), (_, sb) in zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return self.fold(lambda n, subs: hash((n.label, tuple(a for a, _ in n.children), *subs)))
 
     def child(self, attr: int) -> "Tree | None":
         for a, sub in self.children:
@@ -171,17 +189,17 @@ class Tree:
 
         The slot must be free; occupied slots raise ValueError.
         """
-        if not path:
-            if self.child(attr) is not None:
-                raise ValueError(f"attribute {attr} already occupied")
-            return Tree(self.label, tuple(sorted(self.children + ((attr, sub),))))
-        head = path[0]
-        branch = self.child(head)
-        if branch is None:
-            raise KeyError(f"no child under attribute {head}")
-        rebuilt = branch.with_subtree(path[1:], attr, sub)
-        kids = tuple((a, rebuilt if a == head else s) for a, s in self.children)
-        return Tree(self.label, kids)
+        spine = [self]
+        for head in path:
+            spine.append(spine[-1].child(head))
+            if spine[-1] is None:
+                raise KeyError(f"no child under attribute {head}")
+        if spine[-1].child(attr) is not None:
+            raise ValueError(f"attribute {attr} already occupied")
+        rebuilt = sub
+        for node, head in zip(reversed(spine), reversed((*path, attr))):
+            rebuilt = Tree.make(node.label, {**dict(node.children), head: rebuilt})
+        return rebuilt
 
     def to_dict(self, schema: Schema) -> dict:
         """Plain mapping form with labels and attributes named by the schema."""

@@ -1,21 +1,20 @@
 """A fixed-weight transformer that walks attribute paths in embedding space.
 
-The decoder runs n slots for a length n-1 path. Slot 1 starts with the query
-vector and the path (as a token chain shifted once along next); every block
-moves each slot's working vector one step down the path and deposits the
-decoded token into the slot's output channel. Slot i's token settles at block
-i, so the block is applied n times in total.
+The decoder runs n slots for a length n-1 path. Slots concatenate five
+channels: position code p (k wide), working vector v, relay w, path r, and
+output t (d wide each). The prompt gives each slot its own input embedding,
+built outside the network: p_i = Z^(i-1) p_1, and in r the token of the
+attribute that leads into slot i (zero in slot 1, the root). Slot 1's v holds
+the query. Every block moves each slot's working vector one step down the
+path and deposits the decoded token into the slot's output channel; slot i's
+token settles at block i, so the block is applied n times. No block writes r.
+All nonlinearity lives in the two feed-forward passes; attention only routes
+w forward by one slot under a strict causal mask.
 
-Slots concatenate five channels: position code p (k wide), working vector v,
-relay w, path r, and output t (d wide each). All nonlinearity lives in the
-two feed-forward passes; attention only routes w and the shifted r backward
-by one slot under a strict causal mask.
-
-The structured evaluator computes what the dense export computes, but skips
-work that provably adds exactly 0.0: ffn1 takes M_j^T v only for the (slot,
-attribute) pairs whose gate can pass it (in practice the one slot holding a
-live working vector, against its open gate), and attention does nothing for
-a one-slot query, whose causal weight row is all zero.
+The structured evaluator computes what the dense export computes, but ffn1
+takes M_j^T v only for the (slot, attribute) pairs whose gate can pass it (in
+practice the one slot holding a live working vector, against its open gate);
+the pairs it skips provably add exactly 0.0.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import decode_token
-from .embedding import Embedding, encode_list, haar_orthogonal
+from .embedding import Embedding, haar_orthogonal
 from .exceptions import PathTooLongError, SeparationUnachievableError
-from .schema import NEXT
 from .vectors import BTVector
 
 
@@ -124,34 +122,28 @@ def query_position_codes(
     return build_position_codes(n, cfg.k, rng)
 
 
-def _attr_indices(e: Embedding, path: Sequence[int | str]) -> list[int]:
-    return [a if isinstance(a, int) else e.schema.attribute_index(a) for a in path]
-
-
 def init_state(
     e: Embedding,
     v: BTVector,
     path: Sequence[int | str],
     codes: PositionCodes,
 ) -> SeqState:
-    """Slot 1 carries the query and the once-shifted path chain; the rest are blank.
+    """The prompt: the query in slot 1's v, and in r one path token per slot.
 
-    The extra next-shift hides the first path token from slot 1 itself: the
-    root label needs no step, so slot 1's r must decode to nothing.
+    Slot i >= 2 holds the token of the (i-1)-th path attribute, gathered from
+    the token table: one input embedding per position, like the position
+    codes. Slot 1's r is zero, as the root label needs no step.
     """
     data = e.check(v)
-    attrs = _attr_indices(e, path)
-    n = len(attrs) + 1
+    tokens = [e.schema.attribute_token_indices[e.schema.attribute_index(a)] for a in path]
+    n = len(tokens) + 1
     if codes.n != n:
         raise ValueError(f"position codes built for n={codes.n}, path needs {n}")
     d = e.dim
     vm = np.zeros((n, d))
     vm[0] = data
     rm = np.zeros((n, d))
-    if attrs:
-        tokens = [e.schema.attribute_token_indices[a] for a in attrs]
-        chain = encode_list(e, tokens)
-        rm[0] = e.attribute_matrix(NEXT) @ chain.data
+    rm[1:] = e.token_vectors[tokens]
     return SeqState(pos=codes.codes.copy(), v=vm, w=np.zeros((n, d)), r=rm, t=np.zeros((n, d)))
 
 
@@ -162,28 +154,21 @@ def attention_matrix(codes: PositionCodes, cfg: XfConfig) -> np.ndarray:
     logits = cfg.attn_sharpness * (queries @ codes.codes.T)
     mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
     weights = np.zeros((n, n))
-    if n > 1:
-        masked = np.where(mask, logits, -np.inf)[1:]
-        masked -= masked.max(axis=1, keepdims=True)
-        expd = np.exp(masked)
-        weights[1:] = expd / expd.sum(axis=1, keepdims=True)
+    masked = np.where(mask, logits, -np.inf)[1:]
+    masked -= masked.max(axis=1, keepdims=True)
+    expd = np.exp(masked)
+    weights[1:] = expd / expd.sum(axis=1, keepdims=True)
     return weights
 
 
-def attention_step(state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfConfig) -> SeqState:
-    """Each slot pulls its predecessor's relay into v and its shifted path into r.
+def attention_step(state: SeqState, codes: PositionCodes, cfg: XfConfig) -> SeqState:
+    """Each slot pulls its predecessor's relay into v.
 
-    Value vectors carry (0, w_j, 0, M_next^T r_j, 0); the residual keeps
-    everything else in place. The mask is strictly causal, so slot 1 receives
-    nothing, and a one-slot query is returned as it is.
+    Value vectors carry (0, w_j, 0, 0, 0); the residual keeps everything else
+    in place. r needs no route, as the prompt gave each slot its own path
+    token. The mask is strictly causal, so slot 1 receives nothing.
     """
-    if codes.n == 1:
-        return state  # the strict mask leaves a lone slot an all-zero weight row
-    weights = attention_matrix(codes, cfg)
-    nxt = e.attribute_matrix(NEXT)
-    new_v = state.v + weights @ state.w
-    new_r = state.r + weights @ (state.r @ nxt)  # row-wise M_next^T r_j
-    return replace(state, v=new_v, r=new_r)
+    return replace(state, v=state.v + attention_matrix(codes, cfg) @ state.w)
 
 
 def ffn1(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
@@ -233,7 +218,7 @@ def ffn2(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
 
 
 def block(state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfConfig) -> SeqState:
-    return ffn2(ffn1(attention_step(state, codes, e, cfg), e, cfg), e, cfg)
+    return ffn2(ffn1(attention_step(state, codes, cfg), e, cfg), e, cfg)
 
 
 def run_decoder(
@@ -249,12 +234,11 @@ def run_decoder(
     after following the first i-1 path attributes. Position codes come from
     query_position_codes.
     """
-    attrs = _attr_indices(e, path)
-    n = len(attrs) + 1
+    n = len(path) + 1
     if n > cfg.k:
         raise PathTooLongError(f"{n} slots exceed position dimension k={cfg.k}")
     codes = query_position_codes(e, n, cfg, seed)
-    state = init_state(e, v, attrs, codes)
+    state = init_state(e, v, path, codes)
     for _ in range(n):
         state = block(state, codes, e, cfg)
     return [decode_token(e, state.t[i]) for i in range(n)]
@@ -274,7 +258,6 @@ def export_weights(e: Embedding, codes: PositionCodes, cfg: XfConfig) -> dict[st
     pv, vv, wv, rv, tv = 0, k, k + d, k + 2 * d, k + 3 * d
     c = cfg.gate_constant
     attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
-    nxt = e.attribute_matrix(NEXT)
 
     wq = np.zeros((k, s))
     wq[:, pv : pv + k] = codes.step.T
@@ -282,7 +265,6 @@ def export_weights(e: Embedding, codes: PositionCodes, cfg: XfConfig) -> dict[st
     wk[:, pv : pv + k] = np.eye(k)
     wval = np.zeros((s, s))
     wval[vv : vv + d, wv : wv + d] = np.eye(d)
-    wval[rv : rv + d, rv : rv + d] = nxt.T
 
     h1 = 4 * d + n_attrs * (d + 1)
     f1_lin = np.zeros((h1, s))

@@ -252,6 +252,25 @@ class TestLists:
         np.testing.assert_allclose(shifted, rest.data, atol=1e-9)
 
 
+class TestIndexBounds:
+    """An integer token or attribute outside the schema is a KeyError, never a
+    wrapped negative index or a raw IndexError."""
+
+    def test_push(self, emb_small):
+        with pytest.raises(KeyError):
+            push(emb_small, zero_vector(emb_small), -1)
+
+    def test_encode_list(self, emb_small):
+        with pytest.raises(KeyError):
+            encode_list(emb_small, [0, 99])
+
+    @pytest.mark.parametrize("path, attr", [((), 9), ((), -1), ((9,), 0)])
+    def test_attach(self, emb_small, path, attr):
+        v = bt_encode(emb_small, Tree(0))
+        with pytest.raises(KeyError):
+            attach(emb_small, v, path, attr, v)
+
+
 class TestAttach:
     def test_matches_recomputed_tree(self, emb_small):
         rng = np.random.default_rng(14)

@@ -56,6 +56,18 @@ class TestSchemaValidation:
         with pytest.raises(KeyError):
             s.attribute_index("a")
 
+    def test_lookup_by_index(self):
+        # an index is range-checked like a name, so -1 cannot wrap to the last entry
+        s = small_schema()
+        assert s.token_index(4) == 4
+        assert s.attribute_index(1) == 1
+        for bad in (-1, 5):
+            with pytest.raises(KeyError):
+                s.token_index(bad)
+        for bad in (-1, 2):
+            with pytest.raises(KeyError):
+                s.attribute_index(bad)
+
     def test_attribute_token_indices(self):
         s = small_schema()
         assert s.attribute_token_indices == (3, 4)
@@ -193,8 +205,7 @@ class TestDeepTrees:
             assert node["label"] == "a" and list(node["children"]) == ["next"]
             node, depth = node["children"]["next"], depth + 1
         assert depth == self.DEPTH and node["label"] == "b"
-        # compared by paths: dataclass equality itself recurses per level
-        assert list(Tree.from_dict(blob, s).paths()) == list(tree.paths())
+        assert Tree.from_dict(blob, s) == tree
 
     def test_malformed_leaf_of_deep_chain(self):
         blob = deep_chain(self.DEPTH).to_dict(small_schema())
@@ -204,6 +215,22 @@ class TestDeepTrees:
         node["children"] = {"next": 5}
         with pytest.raises(ValueError, match="JSON object"):
             Tree.from_dict(blob, small_schema())
+
+    def test_equality_and_hash(self):
+        a, b = deep_chain(self.DEPTH), deep_chain(self.DEPTH)
+        assert a == b and hash(a) == hash(b)
+        # identical but for the leaf's label
+        c = Tree(2)
+        for _ in range(self.DEPTH - 1):
+            c = Tree.make(0, {0: c})
+        assert a != c
+
+    def test_with_subtree_at_depth(self):
+        tree = deep_chain(self.DEPTH)
+        path = (0,) * (self.DEPTH - 1)
+        grown = tree.with_subtree(path, 1, Tree(2))
+        assert grown.node_at(path + (1,)) == Tree(2)
+        assert grown.node_count() == self.DEPTH + 1
 
     def test_fold_order(self):
         t = Tree.make(0, {1: Tree(2), 0: Tree.make(3, {0: Tree(4)})})

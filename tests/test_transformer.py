@@ -114,7 +114,7 @@ class TestAttention:
         state = init_state(e, bt_encode(e, random_tree(4, 30, 3, rng)), [0, 1], codes)
         wm = rng.standard_normal((3, e.dim))
         state = replace(state, w=wm)
-        out = attention_step(state, codes, e, XfConfig())
+        out = attention_step(state, codes, XfConfig())
         weights = attention_matrix(codes, XfConfig())
         np.testing.assert_allclose(out.v, state.v + weights @ wm, atol=1e-12)
         # slot 3 pulls essentially all of w_2
@@ -136,10 +136,13 @@ class TestInitState:
         np.testing.assert_array_equal(state.v[1:], 0.0)
         np.testing.assert_array_equal(state.w, 0.0)
         np.testing.assert_array_equal(state.t, 0.0)
-        assert np.linalg.norm(state.r[0]) > 0.5
+        # r is the prompt: zero in slot 1, then one attribute token per slot
+        np.testing.assert_array_equal(state.r[0], 0.0)
+        for i, a in enumerate(["next", "arg1"], start=1):
+            np.testing.assert_array_equal(state.r[i], e.token_vector(a))
 
     def test_slot_one_hides_its_own_head(self, emb_paths):
-        # the path chain is pre-shifted, so slot 1's r decodes to nothing
+        # the root label needs no step, so slot 1's r decodes to nothing
         e = emb_paths
         codes = build_position_codes(4, 64, np.random.default_rng(70))
         v = bt_encode(e, tree_small())
@@ -160,7 +163,7 @@ class TestInitState:
 
 
 class TestSchedule:
-    """Relay and path channels must fill one slot per block."""
+    """The relay fills one slot per block; the path channel is fixed by the prompt."""
 
     def make_instance(self, e, rng):
         tree = random_tree(8, 30, 3, rng)
@@ -178,13 +181,15 @@ class TestSchedule:
         n = len(path) + 1
         codes = build_position_codes(n, 64, np.random.default_rng(74))
         state = init_state(e, bt_encode(e, tree), path, codes)
+        prompt_r = state.r.copy()
+        for s in range(n):
+            # r: slot s holds the s-th path token from the prompt on
+            assert decode_token(e, state.r[s]) == (attr_tokens[s - 1] if s else None), (s, "r")
         cfg = XfConfig()
         for b in range(1, n + 1):
             state = block(state, codes, e, cfg)
+            np.testing.assert_array_equal(state.r, prompt_r)
             for s in range(n):
-                # r: slot s sees the s-th path token once b >= s
-                want_r = attr_tokens[s - 1] if 1 <= s <= len(path) and b >= s else None
-                assert decode_token(e, state.r[s]) == want_r, (b, s, "r")
                 # w is the one-block relay: it carries the prefix label only
                 # at block s+1, then the cleared v channel zeroes it again
                 want_w = labels[s] if b == s + 1 else None
@@ -261,6 +266,26 @@ class TestRunDecoder:
         with pytest.raises(PathTooLongError):
             run_decoder(e, v, ["next"] * 8, XfConfig(k=8))
 
+    @pytest.mark.parametrize("length", [8, 12])
+    def test_long_paths_agree(self, emb_paths, length):
+        # each slot's gate sees only its own attribute token, so its off-target
+        # inputs stay at the token overlaps however long the path grows
+        e = emb_paths
+        rng = np.random.default_rng(87 + length)
+        for _ in range(20):
+            labels = [int(x) for x in rng.integers(30, size=length + 1)]
+            path = [int(a) for a in rng.integers(3, size=length)]
+            tree = Tree(labels[-1])
+            for label, a in zip(reversed(labels[:-1]), reversed(path)):
+                tree = Tree.make(label, {a: tree})
+            assert run_decoder(e, bt_encode(e, tree), path) == labels
+
+    @pytest.mark.parametrize("path", [[-1], [3], ["nope"]])
+    def test_unknown_attribute_raises(self, emb_paths, path):
+        e = emb_paths
+        with pytest.raises(KeyError):
+            run_decoder(e, bt_encode(e, tree_small()), path)
+
     def test_gate_saturation_margin(self, emb_paths):
         # doubling both saturation constants must not move any label
         e = emb_paths
@@ -286,15 +311,8 @@ def ffn1_all_pairs(state, e, cfg):
     return replace(state, w=f1)
 
 
-def attention_all_slots(state, codes, e, cfg):
-    """Reference attention_step: the weight matrix is applied even to a lone slot."""
-    weights = attention_matrix(codes, cfg)
-    nxt = e.attribute_matrix("next")
-    return replace(state, v=state.v + weights @ state.w, r=state.r + weights @ (state.r @ nxt))
-
-
 def block_all_pairs(state, codes, e, cfg):
-    return ffn2(ffn1_all_pairs(attention_all_slots(state, codes, e, cfg), e, cfg), e, cfg)
+    return ffn2(ffn1_all_pairs(attention_step(state, codes, cfg), e, cfg), e, cfg)
 
 
 def gate_inputs_to_r(e, inputs):
@@ -317,7 +335,7 @@ class TestLiveSlotFfn1:
             codes = build_position_codes(len(path) + 1, 64, rng)
             state = init_state(e, bt_encode(e, tree), path, codes)
             for _ in range(codes.n):
-                state = attention_step(state, codes, e, cfg)
+                state = attention_step(state, codes, cfg)
                 got = ffn1(state, e, cfg)
                 want = ffn1_all_pairs(state, e, cfg)
                 np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-9)
@@ -359,17 +377,6 @@ class TestLiveSlotFfn1:
             # every pair is shut or flat, so no product is taken and w is v
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(got, state.v)
-
-    def test_lone_slot_attention_is_identity(self, emb_paths):
-        e = emb_paths
-        codes = build_position_codes(1, 64, np.random.default_rng(84))
-        rng = np.random.default_rng(85)
-        state = init_state(e, bt_encode(e, tree_small()), [], codes)
-        state = replace(state, w=rng.standard_normal((1, e.dim)), r=rng.standard_normal((1, e.dim)))
-        got = attention_step(state, codes, e, XfConfig())
-        want = attention_all_slots(state, codes, e, XfConfig())
-        np.testing.assert_array_equal(got.v, want.v)
-        np.testing.assert_array_equal(got.r, want.r)
 
     def test_blocks_match_all_pairs_reference(self, emb_paths):
         # labels and the t and r channels are bitwise equal after every block
@@ -457,6 +464,9 @@ class TestDenseParity:
         n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
         assert tensors["Wq"].shape == (k, s)
         assert tensors["Wv"].shape == (s, s)
+        # the value map routes only the relay: w into v, the identity, nothing else
+        assert np.count_nonzero(tensors["Wv"]) == d
+        np.testing.assert_array_equal(tensors["Wv"][k : k + d, k + d : k + 2 * d], np.eye(d))
         assert tensors["f1_lin"].shape == (4 * d + n_attrs * (d + 1), s)
         assert tensors["f2_lin"].shape == (2 * n_tokens + 2 * d, s)
 
