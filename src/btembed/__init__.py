@@ -27,7 +27,6 @@ from .exceptions import (
     NonReflexiveError,
     PathTooLongError,
     SchemaMismatchError,
-    SeparationUnachievableError,
     StepBudgetExceededError,
 )
 from .grammar import (
@@ -72,7 +71,6 @@ from .transformer import (
     ffn1,
     ffn2,
     init_state,
-    query_position_codes,
     run_decoder,
     save_weights,
 )

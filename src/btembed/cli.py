@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 2 usage or input problems, 3 schema mismatch,
-4 decode came back absent, 5 no parse, 6 a budget or separation limit hit.
+4 decode came back absent, 5 no parse, 6 a budget hit: the decoder's node or
+depth budget, the parser's step budget, or a path longer than k - 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .exceptions import (
     NoParseError,
     PathTooLongError,
     SchemaMismatchError,
-    SeparationUnachievableError,
     StepBudgetExceededError,
 )
 from .grammar import compile_rules, load_grammar, parse
@@ -37,7 +37,7 @@ from .harness import (
 )
 from .io import load_embedding, load_vector, save_embedding, save_vector
 from .schema import Schema, Tree
-from .transformer import XfConfig, export_weights, query_position_codes, run_decoder, save_weights
+from .transformer import XfConfig, build_position_codes, export_weights, run_decoder, save_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -112,9 +112,9 @@ def cmd_transformer_query(args) -> int:
         attn_sharpness=args.sharpness,
         gate_constant=args.gate_constant,
     )
-    labels = run_decoder(e, v, path, cfg, seed=args.seed)
+    labels = run_decoder(e, v, path, cfg)
     if args.dump_weights:
-        codes = query_position_codes(e, len(path) + 1, cfg, args.seed)
+        codes = build_position_codes(len(path) + 1, cfg.k)
         save_weights(export_weights(e, codes, cfg), args.dump_weights)
     names = [None if i is None else e.schema.tokens[i] for i in labels]
     sys.stdout.write(json.dumps(names) + "\n")
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=64)
     p.add_argument("--sharpness", type=float, default=100.0)
     p.add_argument("--gate-constant", type=float, default=1e4)
-    p.add_argument("--seed", type=int)
     p.add_argument("--dump-weights", metavar="DIR", help="write dense block tensors and a manifest")
     p.set_defaults(func=cmd_transformer_query)
 
@@ -230,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         BudgetExceededError,
         StepBudgetExceededError,
-        SeparationUnachievableError,
         PathTooLongError,
     ) as err:
         return _fail(EXIT_BUDGET, str(err))

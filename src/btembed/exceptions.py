@@ -33,10 +33,6 @@ class PathTooLongError(BTError):
     """Query path needs more slots than the position-code dimension supports."""
 
 
-class SeparationUnachievableError(BTError):
-    """Position codes failed to meet the overlap bound within the retry limit."""
-
-
 class ArityExceededError(BTError):
     """Rule pattern is longer than the schema's argument attribute list."""
 

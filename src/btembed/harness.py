@@ -115,7 +115,8 @@ def random_tree(size: int, n_labels: int, n_attributes: int, rng: np.random.Gene
 
     Open slots are (existing node, unused attribute) pairs, so every shape
     reachable under the one-child-per-attribute constraint has positive
-    probability.
+    probability. A child's index exceeds its parent's, so nodes are built in
+    reverse index order.
     """
     labels = [int(rng.integers(n_labels))]
     children: list[dict[int, int]] = [{}]
@@ -128,11 +129,10 @@ def random_tree(size: int, n_labels: int, n_attributes: int, rng: np.random.Gene
         node = len(labels) - 1
         children[parent][attr] = node
         open_slots.extend((node, a) for a in range(n_attributes))
-
-    def build(i: int) -> Tree:
-        return Tree.make(labels[i], {a: build(j) for a, j in children[i].items()})
-
-    return build(0)
+    trees: list[Tree] = [Tree(0)] * len(labels)
+    for i in reversed(range(len(labels))):
+        trees[i] = Tree.make(labels[i], {a: trees[j] for a, j in children[i].items()})
+    return trees[0]
 
 
 def chain_tree(e: Embedding, tokens: list[int]) -> Tree:

@@ -115,8 +115,8 @@ class Tree:
 
     Children are keyed by attribute index, at most one child per attribute,
     and stored sorted by attribute index so structurally equal trees compare
-    equal. Instances are immutable. Equality, hashing and with_subtree use
-    explicit stacks, so depth is bounded only by memory.
+    equal. Instances are immutable. Equality, hashing, repr and with_subtree
+    use explicit stacks, so depth is bounded only by memory.
     """
 
     label: int
@@ -151,6 +151,16 @@ class Tree:
 
     def __hash__(self) -> int:
         return self.fold(lambda n, subs: hash((n.label, tuple(a for a, _ in n.children), *subs)))
+
+    def __repr__(self) -> str:
+        """The dataclass repr, built bottom-up."""
+
+        def fmt(node: Tree, subs: list[str]) -> str:
+            items = [f"({a!r}, {sub})" for (a, _), sub in zip(node.children, subs)]
+            kids = f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+            return f"Tree(label={node.label!r}, children={kids})"
+
+        return self.fold(fmt)
 
     def child(self, attr: int) -> "Tree | None":
         for a, sub in self.children:

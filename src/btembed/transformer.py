@@ -3,13 +3,16 @@
 The decoder runs n slots for a length n-1 path. Slots concatenate five
 channels: position code p (k wide), working vector v, relay w, path r, and
 output t (d wide each). The prompt gives each slot its own input embedding,
-built outside the network: p_i = Z^(i-1) p_1, and in r the token of the
-attribute that leads into slot i (zero in slot 1, the root). Slot 1's v holds
-the query. Every block moves each slot's working vector one step down the
-path and deposits the decoded token into the slot's output channel; slot i's
-token settles at block i, so the block is applied n times. No block writes r.
-All nonlinearity lives in the two feed-forward passes; attention only routes
-w forward by one slot under a strict causal mask.
+built outside the network: the one-hot position code p_i = e_i = Z^(i-1) e_1,
+with Z the cyclic shift, and in r the token of the attribute that leads into
+slot i (zero in slot 1, the root). Slot 1's v holds the query. Every block
+moves each slot's working vector one step down the path and deposits the
+decoded token into the slot's output channel; slot i's token settles at block
+i, so the block is applied n times. No block writes r. All nonlinearity lives
+in the two feed-forward passes; attention only routes w forward by one slot
+under a strict causal mask. Distinct codes are orthogonal, so slot i's query
+Z^-1 p_i matches p_(i-1) alone: attention puts weight 1.0 on it and
+exp(-sharpness) on each other earlier slot.
 
 The structured evaluator computes what the dense export computes, but ffn1
 takes M_j^T v only for the (slot, attribute) pairs whose gate can pass it (in
@@ -27,13 +30,9 @@ from typing import Sequence
 import numpy as np
 
 from .decoder import decode_token
-from .embedding import Embedding, haar_orthogonal
-from .exceptions import PathTooLongError, SeparationUnachievableError
+from .embedding import Embedding
+from .exceptions import PathTooLongError
 from .vectors import BTVector
-
-
-# Query position codes are redrawn until no two of them overlap by this much.
-POS_OVERLAP_BOUND = 0.3
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class XfConfig:
 
 @dataclass(frozen=True)
 class PositionCodes:
-    """Unit codes p_i = Z^(i-1) p_1 for a Haar orthogonal step Z."""
+    """Unit codes p_i = Z^(i-1) p_1 for an orthogonal step Z."""
 
     codes: np.ndarray
     step: np.ndarray
@@ -58,41 +57,16 @@ class PositionCodes:
     def k(self) -> int:
         return self.codes.shape[1]
 
-    def max_overlap(self) -> float:
-        if self.n < 2:
-            return 0.0
-        gram = self.codes @ self.codes.T
-        return float(np.abs(gram - np.eye(self.n)).max())
 
+def build_position_codes(n: int, k: int) -> PositionCodes:
+    """One-hot codes p_i = e_i, stepped by the cyclic shift Z e_i = e_(i+1).
 
-def build_position_codes(
-    n: int,
-    k: int,
-    rng: np.random.Generator,
-    overlap_bound: float = POS_OVERLAP_BOUND,
-    retries: int = 100,
-) -> PositionCodes:
-    """Resample (p_1, Z) until all off-diagonal overlaps stay under the bound.
-
-    Overlaps concentrate around sqrt(2/k), so the bound must sit well above
-    that for the draw to succeed; infeasible requests raise after the retry
-    limit instead of looping forever.
+    Any two codes are orthogonal, so every n <= k is exact; n > k slots raise
+    PathTooLongError.
     """
-    for _ in range(retries):
-        z = haar_orthogonal(k, rng)
-        p = rng.standard_normal(k)
-        p /= np.linalg.norm(p)
-        codes = np.empty((n, k))
-        codes[0] = p
-        for i in range(1, n):
-            codes[i] = z @ codes[i - 1]
-        built = PositionCodes(codes, z)
-        if built.max_overlap() < overlap_bound:
-            return built
-    raise SeparationUnachievableError(
-        f"no draw met overlap bound {overlap_bound} at n={n}, k={k} "
-        f"within {retries} retries"
-    )
+    if n > k:
+        raise PathTooLongError(f"{n} slots exceed position dimension k={k}")
+    return PositionCodes(np.eye(n, k), np.roll(np.eye(k), 1, axis=0))
 
 
 @dataclass(frozen=True)
@@ -107,19 +81,6 @@ class SeqState:
 
     def as_matrix(self) -> np.ndarray:
         return np.concatenate([self.pos, self.v, self.w, self.r, self.t], axis=1)
-
-
-def query_position_codes(
-    e: Embedding, n: int, cfg: XfConfig, seed: int | None = None
-) -> PositionCodes:
-    """The codes for an n-slot query, drawn from a stream keyed by the seed and n.
-
-    The seed defaults to the embedding's, so queries are reproducible without
-    extra arguments.
-    """
-    base = e.seed if seed is None else seed
-    rng = np.random.default_rng([base, n])
-    return build_position_codes(n, cfg.k, rng)
 
 
 def init_state(
@@ -184,7 +145,7 @@ def ffn1(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
     rounding), and the term is exactly 0.0 in floating point when the gate is
     - shut, y <= -3|v|: every relu input is negative; or
     - flat, y >= 3|v| and 3|v| < spacing(y)/4: y + s - v rounds back to y.
-    A blank slot (v = 0) is always one or the other, and so is the ~1e-31
+    A blank slot (v = 0) is always one or the other, and so is the ~1e-44
     leakage that attention's softmax leaves in v beside the live slot.
     """
     c = cfg.gate_constant
@@ -226,18 +187,14 @@ def run_decoder(
     v: BTVector,
     path: Sequence[int | str],
     cfg: XfConfig = XfConfig(),
-    seed: int | None = None,
 ) -> list[int | None]:
     """Decode the labels along a path with n block applications.
 
     Returns one entry per slot: slot 1 is the root label, slot i the label
-    after following the first i-1 path attributes. Position codes come from
-    query_position_codes.
+    after following the first i-1 path attributes.
     """
     n = len(path) + 1
-    if n > cfg.k:
-        raise PathTooLongError(f"{n} slots exceed position dimension k={cfg.k}")
-    codes = query_position_codes(e, n, cfg, seed)
+    codes = build_position_codes(n, cfg.k)
     state = init_state(e, v, path, codes)
     for _ in range(n):
         state = block(state, codes, e, cfg)

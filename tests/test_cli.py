@@ -14,7 +14,6 @@ import sys
 import numpy as np
 import pytest
 
-import btembed.transformer
 from btembed import (
     BTVector,
     Schema,
@@ -22,10 +21,9 @@ from btembed import (
     XfConfig,
     balanced_parens_grammar,
     balanced_parens_schema,
+    build_position_codes,
     export_weights,
     load_embedding,
-    load_vector,
-    run_decoder,
     save_grammar,
     save_vector,
     symbolic_parse,
@@ -293,7 +291,7 @@ class TestTransformerQuery:
             size = 8 * int(np.prod(t["shape"]))
             assert (wdir / t["file"]).stat().st_size == size
 
-    def test_dumped_weights_use_the_query_codes(self, tmp_path, monkeypatch):
+    def test_dumped_weights_use_the_query_codes(self, tmp_path):
         schema = tmp_path / "s.json"
         emb = tmp_path / "e.bte"
         vec = tmp_path / "v.btv"
@@ -302,26 +300,13 @@ class TestTransformerQuery:
         assert main(["embed", "--schema", str(schema), "--dim", "48", "-o", str(emb)]) == 0
         tree.write_text('{"label": "t2", "children": {"next": {"label": "t4"}}}')
         assert main(["encode", "--embedding", str(emb), "--tree", str(tree), "-o", str(vec)]) == 0
-        e, v, cfg = load_embedding(emb), load_vector(vec), XfConfig(k=16)
-
-        # record the position codes run_decoder draws for seed 11
-        used = []
-        build = btembed.transformer.build_position_codes
-
-        def recording(*args, **kwargs):
-            used.append(build(*args, **kwargs))
-            return used[-1]
-
-        monkeypatch.setattr(btembed.transformer, "build_position_codes", recording)
-        run_decoder(e, v, ["next"], cfg, seed=11)
-        monkeypatch.undo()
-        (codes,) = used
+        e = load_embedding(emb)
 
         wdir = tmp_path / "weights"
         rc = main(["transformer-query", "--embedding", str(emb), "--vector", str(vec),
-                   "--path", "next", "--k", "16", "--seed", "11", "--dump-weights", str(wdir)])
+                   "--path", "next", "--k", "16", "--dump-weights", str(wdir)])
         assert rc == 0
-        expected = export_weights(e, codes, cfg)["Wq"]
+        expected = export_weights(e, build_position_codes(2, 16), XfConfig(k=16))["Wq"]
         written = np.fromfile(wdir / "Wq.bin", dtype="<f8").reshape(expected.shape)
         np.testing.assert_array_equal(written, expected)
 

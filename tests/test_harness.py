@@ -103,6 +103,11 @@ class TestGenerators:
         depths = [len(p) for p, _ in t.paths()]
         assert sorted(depths) == [0, 1, 2, 3, 4, 5]
 
+    def test_deep_chain_builds(self):
+        t = random_tree(5000, 10, 1, np.random.default_rng(124))
+        assert t.node_count() == 5000
+        assert max(len(p) for p, _ in t.paths()) == 4999
+
     def test_deterministic(self):
         a = random_tree(8, 10, 3, np.random.default_rng(123))
         b = random_tree(8, 10, 3, np.random.default_rng(123))

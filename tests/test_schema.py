@@ -232,6 +232,14 @@ class TestDeepTrees:
         assert grown.node_at(path + (1,)) == Tree(2)
         assert grown.node_count() == self.DEPTH + 1
 
+    def test_repr(self):
+        assert repr(Tree.make(3, {0: Tree(5)})) == (
+            "Tree(label=3, children=((0, Tree(label=5, children=())),))"
+        )
+        text = repr(deep_chain(self.DEPTH))
+        assert text.count("Tree(label=") == self.DEPTH
+        assert text.endswith("Tree(label=1, children=())" + "),))" * (self.DEPTH - 1))
+
     def test_fold_order(self):
         t = Tree.make(0, {1: Tree(2), 0: Tree.make(3, {0: Tree(4)})})
         seen = []

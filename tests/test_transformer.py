@@ -16,7 +16,6 @@ import pytest
 from btembed import (
     PathTooLongError,
     Tree,
-    SeparationUnachievableError,
     XfConfig,
     attention_matrix,
     attention_step,
@@ -50,6 +49,14 @@ def path_labels(tree, attrs):
     return labels
 
 
+def chain(labels, path):
+    """The chain tree whose root path `path` reads `labels`."""
+    tree = Tree(labels[-1])
+    for label, a in zip(reversed(labels[:-1]), reversed(path)):
+        tree = Tree.make(label, {a: tree})
+    return tree
+
+
 def random_path(tree, rng, max_len):
     path, node = [], tree
     while node.children and len(path) < max_len:
@@ -64,52 +71,55 @@ def random_path(tree, rng, max_len):
 
 class TestPositionCodes:
     def test_unit_norms_and_orbit(self):
-        rng = np.random.default_rng(60)
-        codes = build_position_codes(8, 64, rng)
-        np.testing.assert_allclose(np.linalg.norm(codes.codes, axis=1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(codes.step @ codes.step.T, np.eye(64), atol=1e-12)
+        codes = build_position_codes(8, 64)
+        np.testing.assert_array_equal(codes.codes @ codes.codes.T, np.eye(8))
+        np.testing.assert_array_equal(codes.step @ codes.step.T, np.eye(64))
+        np.testing.assert_array_equal(codes.codes[0], np.eye(64)[0])
         for i in range(1, 8):
-            np.testing.assert_allclose(
-                codes.codes[i], codes.step @ codes.codes[i - 1], atol=1e-12
-            )
+            np.testing.assert_array_equal(codes.codes[i], codes.step @ codes.codes[i - 1])
 
-    def test_overlap_bound_respected(self):
-        rng = np.random.default_rng(61)
-        codes = build_position_codes(16, 64, rng, overlap_bound=0.3)
-        assert codes.max_overlap() < 0.3
+    def test_step_is_a_permutation(self):
+        step = build_position_codes(3, 16).step
+        assert set(np.unique(step)) == {0.0, 1.0}
+        np.testing.assert_array_equal(step.sum(axis=0), 1.0)
+        np.testing.assert_array_equal(step.sum(axis=1), 1.0)
 
     def test_deterministic(self):
-        a = build_position_codes(6, 32, np.random.default_rng(62))
-        b = build_position_codes(6, 32, np.random.default_rng(62))
+        a, b = build_position_codes(6, 32), build_position_codes(6, 32)
         np.testing.assert_array_equal(a.codes, b.codes)
-
-    def test_infeasible_bound_raises(self):
-        rng = np.random.default_rng(63)
-        with pytest.raises(SeparationUnachievableError):
-            build_position_codes(12, 8, rng, overlap_bound=0.05, retries=5)
+        np.testing.assert_array_equal(a.step, b.step)
 
     def test_single_slot(self):
-        codes = build_position_codes(1, 16, np.random.default_rng(64))
-        assert codes.max_overlap() == 0.0
+        codes = build_position_codes(1, 16)
+        assert codes.n == 1 and codes.k == 16
+        np.testing.assert_array_equal(codes.codes[0], np.eye(16)[0])
+
+    def test_every_slot_count_up_to_k(self):
+        for n in range(1, 9):
+            assert build_position_codes(n, 8).n == n
+        with pytest.raises(PathTooLongError):
+            build_position_codes(9, 8)
 
 
 class TestAttention:
     def test_weight_rows(self):
-        codes = build_position_codes(8, 64, np.random.default_rng(65))
+        codes = build_position_codes(8, 64)
         w = attention_matrix(codes, XfConfig())
         np.testing.assert_array_equal(w[0], 0.0)
         np.testing.assert_allclose(w[1:].sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w[np.triu_indices(8)] == 0.0)  # strictly causal
 
     def test_mass_lands_on_predecessor(self):
-        codes = build_position_codes(8, 64, np.random.default_rng(66))
+        codes = build_position_codes(8, 64)
         w = attention_matrix(codes, XfConfig())
         for i in range(1, 8):
-            assert w[i, i - 1] > 1.0 - 1e-3
+            assert w[i, i - 1] == 1.0
+            # every other earlier slot keeps exp(-sharpness) of the mass
+            np.testing.assert_allclose(w[i, : i - 1], np.exp(-100.0), rtol=1e-9)
 
     def test_value_delivery_matches_manual_softmax(self, emb_paths):
         e = emb_paths
-        codes = build_position_codes(3, 64, np.random.default_rng(67))
+        codes = build_position_codes(3, 64)
         rng = np.random.default_rng(68)
         state = init_state(e, bt_encode(e, random_tree(4, 30, 3, rng)), [0, 1], codes)
         wm = rng.standard_normal((3, e.dim))
@@ -127,7 +137,7 @@ class TestAttention:
 class TestInitState:
     def test_layout(self, emb_paths):
         e = emb_paths
-        codes = build_position_codes(3, 64, np.random.default_rng(69))
+        codes = build_position_codes(3, 64)
         v = bt_encode(e, tree_small())
         state = init_state(e, v, ["next", "arg1"], codes)
         assert state.pos.shape == (3, 64)
@@ -144,20 +154,20 @@ class TestInitState:
     def test_slot_one_hides_its_own_head(self, emb_paths):
         # the root label needs no step, so slot 1's r decodes to nothing
         e = emb_paths
-        codes = build_position_codes(4, 64, np.random.default_rng(70))
+        codes = build_position_codes(4, 64)
         v = bt_encode(e, tree_small())
         state = init_state(e, v, ["next", "arg1", "arg2"], codes)
         assert decode_token(e, state.r[0]) is None
 
     def test_empty_path_has_zero_chain(self, emb_paths):
         e = emb_paths
-        codes = build_position_codes(1, 64, np.random.default_rng(71))
+        codes = build_position_codes(1, 64)
         state = init_state(e, bt_encode(e, tree_small()), [], codes)
         np.testing.assert_array_equal(state.r, 0.0)
 
     def test_wrong_code_count(self, emb_paths):
         e = emb_paths
-        codes = build_position_codes(3, 64, np.random.default_rng(72))
+        codes = build_position_codes(3, 64)
         with pytest.raises(ValueError):
             init_state(e, bt_encode(e, tree_small()), ["next"], codes)
 
@@ -179,7 +189,7 @@ class TestSchedule:
         labels = path_labels(tree, path)
         attr_tokens = [e.schema.attribute_token_indices[a] for a in path]
         n = len(path) + 1
-        codes = build_position_codes(n, 64, np.random.default_rng(74))
+        codes = build_position_codes(n, 64)
         state = init_state(e, bt_encode(e, tree), path, codes)
         prompt_r = state.r.copy()
         for s in range(n):
@@ -203,7 +213,7 @@ class TestSchedule:
         rng = np.random.default_rng(75)
         tree, path = self.make_instance(e, rng)
         n = len(path) + 1
-        codes = build_position_codes(n, 64, np.random.default_rng(76))
+        codes = build_position_codes(n, 64)
         state = init_state(e, bt_encode(e, tree), path, codes)
         for _ in range(n):
             state = block(state, codes, e, XfConfig())
@@ -218,7 +228,7 @@ class TestSchedule:
             tree, path = self.make_instance(e, rng)
         labels = path_labels(tree, path)
         n = len(path) + 1
-        codes = build_position_codes(n, 64, np.random.default_rng(78))
+        codes = build_position_codes(n, 64)
         state = init_state(e, bt_encode(e, tree), path, codes)
         for _ in range(n - 1):
             state = block(state, codes, e, XfConfig())
@@ -266,8 +276,15 @@ class TestRunDecoder:
         with pytest.raises(PathTooLongError):
             run_decoder(e, v, ["next"] * 8, XfConfig(k=8))
 
-    @pytest.mark.parametrize("length", [8, 12])
-    def test_long_paths_agree(self, emb_paths, length):
+    @pytest.mark.parametrize(
+        "length, cfg",
+        [
+            pytest.param(8, XfConfig(), id="8"),
+            pytest.param(12, XfConfig(), id="12"),
+            pytest.param(7, XfConfig(k=8), id="7-k8"),  # n = k: every position code in use
+        ],
+    )
+    def test_long_paths_agree(self, emb_paths, length, cfg):
         # each slot's gate sees only its own attribute token, so its off-target
         # inputs stay at the token overlaps however long the path grows
         e = emb_paths
@@ -275,10 +292,17 @@ class TestRunDecoder:
         for _ in range(20):
             labels = [int(x) for x in rng.integers(30, size=length + 1)]
             path = [int(a) for a in rng.integers(3, size=length)]
-            tree = Tree(labels[-1])
-            for label, a in zip(reversed(labels[:-1]), reversed(path)):
-                tree = Tree.make(label, {a: tree})
-            assert run_decoder(e, bt_encode(e, tree), path) == labels
+            assert run_decoder(e, bt_encode(e, chain(labels, path)), path, cfg) == labels
+
+    def test_full_width_at_every_seed(self):
+        # the codes do not depend on the embedding, so a path that fills all k
+        # positions decodes whatever the embedding's seed
+        rng = np.random.default_rng(95)
+        for seed in range(4):
+            e = make_embedding(make_sweep_schema(30, 3), 512, seed)
+            labels = [int(x) for x in rng.integers(30, size=8)]
+            path = [int(a) for a in rng.integers(3, size=7)]
+            assert run_decoder(e, bt_encode(e, chain(labels, path)), path, XfConfig(k=8)) == labels
 
     @pytest.mark.parametrize("path", [[-1], [3], ["nope"]])
     def test_unknown_attribute_raises(self, emb_paths, path):
@@ -332,7 +356,7 @@ class TestLiveSlotFfn1:
         for _ in range(10):
             tree = random_tree(int(rng.integers(2, 9)), 30, 3, rng)
             path = random_path(tree, rng, 4)
-            codes = build_position_codes(len(path) + 1, 64, rng)
+            codes = build_position_codes(len(path) + 1, 64)
             state = init_state(e, bt_encode(e, tree), path, codes)
             for _ in range(codes.n):
                 state = attention_step(state, codes, cfg)
@@ -343,7 +367,7 @@ class TestLiveSlotFfn1:
 
     def adversarial_state(self, e, case, rng):
         n, d = 4, e.dim
-        codes = build_position_codes(n, 64, np.random.default_rng(82))
+        codes = build_position_codes(n, 64)
         state = init_state(e, e.wrap(np.zeros(d)), [0, 1, 2], codes)
         n_attrs = e.schema.n_attributes
         if case == "zero":
@@ -386,7 +410,7 @@ class TestLiveSlotFfn1:
         for _ in range(15):
             tree = random_tree(int(rng.integers(1, 10)), 30, 3, rng)
             path = random_path(tree, rng, 4)
-            codes = build_position_codes(len(path) + 1, 64, rng)
+            codes = build_position_codes(len(path) + 1, 64)
             got = want = init_state(e, bt_encode(e, tree), path, codes)
             for _ in range(codes.n):
                 got = block(got, codes, e, cfg)
@@ -401,7 +425,7 @@ class TestLiveSlotFfn1:
 @pytest.fixture(scope="module")
 def small():
     e = make_embedding(make_sweep_schema(6, 2), 24, 91)
-    codes = build_position_codes(4, 8, np.random.default_rng(92), overlap_bound=0.9)
+    codes = build_position_codes(4, 8)
     return e, codes
 
 
