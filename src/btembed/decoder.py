@@ -1,22 +1,24 @@
 """Recovering trees from embedding vectors.
 
 Token probes are inner products against the token matrix. A node is accepted
-when its best probe clears the threshold. Its child slots are then probed all
-at once through the embedding's child_probes, and only the slots that pass
-are entered, by undoing the attribute rotation with the matrix transpose and
-recursing, in schema attribute order. An absent subtree simply fails its
-probe.
+when its best probe clears the threshold. Its child slots are probed all at
+once, through the embedding's child_probes at the root and its
+grandchild_probes below, and the slots that pass are entered in schema
+attribute order, depth first. Undoing a node's attribute rotation with the
+matrix transpose waits until one of the node's own child slots passes, so a
+leaf costs no dim x dim product. An absent subtree simply fails its probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .embedding import Embedding
 from .exceptions import BudgetExceededError
-from .schema import Tree
+from .schema import Tree, fold_postorder
 from .vectors import BTVector, best_token
 
 
@@ -64,10 +66,12 @@ def decode_with_stats(
 ) -> tuple[Tree | None, DecodeStats]:
     """Decode v and count the work.
 
-    One child_probes product scores every child slot of an accepted node,
-    and only the slots that pass are rotated into, so a tree of n nodes costs
-    n - 1 dim x dim products. A visit is one slot probed (the root counts as
-    one), and budgets are checked on each accepted node, depth first.
+    One child_probes product scores every child slot of the root. A child
+    slot that passes gets its own slots scored by one grandchild_probes
+    product on its parent's vector, and is rotated into only when one of
+    those passes, so a tree costs one dim x dim product per non-root internal
+    node. A visit is one slot probed (the root counts as one), and budgets are
+    checked on each accepted node, depth first in attribute order.
     """
     data = e.check(v)
     stats = DecodeStats()
@@ -78,21 +82,50 @@ def decode_with_stats(
         stats.probes += n_tokens
         return best_token(scores, config.threshold)
 
-    def explore(u: np.ndarray, label: int, depth: int) -> Tree:
+    def accept(depth: int) -> None:
         if depth > config.max_depth:
             raise BudgetExceededError(f"decode exceeded max_depth {config.max_depth}")
         stats.nodes += 1
         if stats.nodes > config.max_nodes:
             raise BudgetExceededError(f"decode exceeded max_nodes {config.max_nodes}")
         stats.max_depth = max(stats.max_depth, depth)
-        slot_scores = (e.child_probes @ u).reshape(n_attrs, n_tokens)
-        children = []
+
+    def children(node: _Node) -> Iterator[_Node]:
         for attr in range(n_attrs):
-            child = probe(slot_scores[attr])
-            if child is not None:
-                sub = explore(e.attribute_matrices[attr].T @ u, child, depth + 1)
-                children.append((attr, sub))
-        return Tree(label, tuple(children))
+            label = probe(node.scores[attr])
+            if label is not None:
+                accept(node.depth + 1)
+                scores = e.grandchild_probes(attr) @ node.frame(e)
+                yield _Node(label, node.depth + 1, scores.reshape(n_attrs, n_tokens), attr, node)
+
+    def build(node: _Node, subs: list[tuple[int, Tree]]) -> tuple[int, Tree]:
+        return node.attr, Tree(node.label, tuple(subs))
 
     root = probe(e.token_vectors @ data)
-    return (None if root is None else explore(data, root, 0)), stats
+    if root is None:
+        return None, stats
+    accept(0)
+    top = _Node(root, 0, (e.child_probes @ data).reshape(n_attrs, n_tokens), u=data)
+    return fold_postorder(top, children, build)[1], stats
+
+
+@dataclass
+class _Node:
+    """An accepted node: its label, depth and the probe scores of its child slots.
+
+    u, the node's own view of the vector, is made from its parent's only when
+    first needed, which is when one of its child slots passes: a leaf is never
+    rotated into.
+    """
+
+    label: int
+    depth: int
+    scores: np.ndarray
+    attr: int = -1
+    parent: "_Node | None" = None
+    u: np.ndarray | None = None
+
+    def frame(self, e: Embedding) -> np.ndarray:
+        if self.u is None:
+            self.u = e.attribute_matrices[self.attr].T @ self.parent.frame(e)
+        return self.u

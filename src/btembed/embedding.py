@@ -80,6 +80,41 @@ class Embedding:
         probes = self.token_vectors @ self.attribute_matrices.transpose(0, 2, 1)
         return read_only(probes.reshape(-1, self.dim))
 
+    def grandchild_probes(self, attr: int) -> np.ndarray:
+        """Token probes of the child slots of child slot attr, shape (n_attributes * n_tokens, dim).
+
+        Row b * n_tokens + t is child_probes[b * n_tokens + t] @
+        attribute_matrices[attr].T, so grandchild_probes(attr) @ u scores the
+        child slots of M_attr^T u without rotating u. Built per attribute on
+        first use and kept read-only.
+        """
+        table = self._grandchild_probes.get(attr)
+        if table is None:
+            table = read_only(self.child_probes @ self.attribute_matrices[attr].T)
+            self._grandchild_probes[attr] = table
+        return table
+
+    def leaf_image(self, attr: int, token: int) -> np.ndarray:
+        """attribute_matrices[attr] @ token_vectors[token]: a leaf's term under attr.
+
+        Computed on first use by the same product an edge of bt_encode runs,
+        so its bits are that product's, and kept read-only. At most
+        n_attributes * n_tokens images are ever held.
+        """
+        image = self._leaf_images.get((attr, token))
+        if image is None:
+            image = read_only(self.attribute_matrices[attr] @ self.token_vectors[token])
+            self._leaf_images[attr, token] = image
+        return image
+
+    @cached_property
+    def _grandchild_probes(self) -> dict[int, np.ndarray]:
+        return {}
+
+    @cached_property
+    def _leaf_images(self) -> dict[tuple[int, int], np.ndarray]:
+        return {}
+
     def token_vector(self, token: int | str) -> np.ndarray:
         return self.token_vectors[self.schema.token_index(token)]
 
@@ -139,18 +174,22 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
 
     enc(node) = token(label) + sum over children of M_attr @ enc(child),
     which equals the per-node path-product sum without ever materializing a
-    matrix chain; cost is one matrix-vector product per edge. The fold is
-    iterative, so depth is bounded only by memory.
+    matrix chain; cost is one matrix-vector product per edge into an internal
+    node, while an edge into a leaf reads the embedding's memoized leaf image.
+    The fold is iterative, so depth is bounded only by memory.
     """
 
     def enc(node: Tree, subs: list[np.ndarray]) -> np.ndarray:
         if node.label >= e.schema.n_tokens:
             raise ValueError(f"label {node.label} outside schema")
         acc = e.token_vectors[node.label].copy()
-        for (attr, _), sub in zip(node.children, subs):
+        for (attr, child), sub in zip(node.children, subs):
             if attr >= e.schema.n_attributes:
                 raise ValueError(f"attribute {attr} outside schema")
-            acc += e.attribute_matrices[attr] @ sub
+            if child.children:
+                acc += e.attribute_matrices[attr] @ sub
+            else:
+                acc += e.leaf_image(attr, child.label)
         return acc
 
     return e.wrap(tree.fold(enc))
@@ -182,10 +221,13 @@ def encode_list(e: Embedding, tokens: Sequence[int | str]) -> BTVector:
     """Embed a non-empty token sequence as a chain along the next attribute."""
     if len(tokens) == 0:
         raise ValueError("encode_list needs a non-empty sequence")
-    nxt = e.attribute_matrix(NEXT)
-    acc = e.token_vector(tokens[-1])
-    for t in reversed(tokens[:-1]):
-        acc = e.token_vector(t) + nxt @ acc
+    nxt = e.schema.attribute_index(NEXT)
+    *rest, last = [e.schema.token_index(t) for t in tokens]
+    acc = e.token_vectors[last]
+    if rest:
+        acc = e.token_vectors[rest.pop()] + e.leaf_image(nxt, last)
+    for t in reversed(rest):
+        acc = e.token_vectors[t] + e.attribute_matrices[nxt] @ acc
     return e.wrap(acc)
 
 

@@ -48,10 +48,12 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
                 name=f"{' '.join(pattern)} -> {replacement}",
             )
         )
+    arg_indices = [e.schema.attribute_index(a) for a in args]
     return RuleSet(
         rules=tuple(rules),
         head_probes=e.token_vectors,
-        arg_matrices=tuple(e.attribute_matrix(a) for a in args),
+        arg_matrices=tuple(e.attribute_matrices[a] for a in arg_indices),
+        leaf_images=lambda k, t: e.leaf_image(arg_indices[k], t),
         fingerprint=e.fingerprint,
     )
 

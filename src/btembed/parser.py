@@ -4,12 +4,15 @@ The engine never sees token names, trees, or schemas, only slot vectors,
 compiled rules, the token probe matrix and the argument attribute matrices.
 Each slot's head label is read once, by the decoder's threshold probe, when
 the slot is created; a window matches a rule when its head labels spell the
-rule's pattern, and a replacement is a sum of matrix-vector products.
+rule's pattern, and a replacement is a sum of matrix-vector products. A slot
+that is still a lone token vector is a leaf, and its product is the
+embedding's memoized leaf image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,21 +31,41 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Compiled rules plus the embedding's token probes and argument matrices, shared, not copied."""
+    """Compiled rules plus the embedding's token probes and argument matrices, shared, not copied.
+
+    leaf_images(k, t) is arg_matrices[k] @ head_probes[t], read from the
+    embedding's memo.
+    """
 
     rules: tuple[Rule, ...]
     head_probes: np.ndarray
     arg_matrices: tuple[np.ndarray, ...]
+    leaf_images: Callable[[int, int], np.ndarray]
     fingerprint: str
 
 
 @dataclass
 class ParseState:
-    """Mutable slot list, each slot's head label, and a step counter."""
+    """Mutable slot list, each slot's head label, and a step counter.
+
+    leaves[i] is slot i's token while the slot is exactly that token's vector,
+    else None.
+    """
 
     slots: list[np.ndarray]
     heads: list[int | None]
+    leaves: list[int | None]
     steps: int = 0
+
+    @classmethod
+    def start(cls, slots: list[np.ndarray], ruleset: RuleSet) -> "ParseState":
+        """Label each input slot by its best token probe above 0.5 and mark the leaves."""
+        heads = [best_token(ruleset.head_probes @ s, 0.5) for s in slots]
+        leaves = [
+            h if h is not None and np.array_equal(s, ruleset.head_probes[h]) else None
+            for s, h in zip(slots, heads)
+        ]
+        return cls(slots, heads, leaves)
 
 
 def match_window(rule: Rule, state: ParseState, j: int) -> bool:
@@ -60,9 +83,14 @@ def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -
     m = len(rule.pattern)
     new = rule.replacement.copy()
     for k in range(m):
-        new += ruleset.arg_matrices[k] @ state.slots[j + k]
+        leaf = state.leaves[j + k]
+        if leaf is None:
+            new += ruleset.arg_matrices[k] @ state.slots[j + k]
+        else:
+            new += ruleset.leaf_images(k, leaf)
     state.slots[j : j + m] = [new]
     state.heads[j : j + m] = [best_token(ruleset.head_probes @ new, 0.5)]
+    state.leaves[j : j + m] = [None]
     state.steps += 1
 
 
@@ -80,8 +108,7 @@ def parse_vectors(slots: list[BTVector], ruleset: RuleSet, max_steps: int | None
         raise SchemaMismatchError("slot fingerprint does not match ruleset")
     if max_steps is None:
         max_steps = 4 * len(slots) ** 2
-    data = [v.data for v in slots]
-    state = ParseState(data, [best_token(ruleset.head_probes @ s, 0.5) for s in data])
+    state = ParseState.start([v.data for v in slots], ruleset)
     while True:
         hit = False
         for rule in ruleset.rules:

@@ -12,7 +12,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .exceptions import DuplicateNameError, EmptyAlphabetError, NonReflexiveError
 
@@ -170,7 +170,7 @@ class Tree:
 
     def fold(self, combine: Callable[["Tree", list[T]], T]) -> T:
         """Combine the tree bottom-up: combine(node, results of its children, in order)."""
-        return _fold_postorder(self, lambda node: [sub for _, sub in node.children], combine)
+        return fold_postorder(self, lambda node: [sub for _, sub in node.children], combine)
 
     def node_count(self) -> int:
         return self.fold(lambda node, counts: 1 + sum(counts))
@@ -239,17 +239,18 @@ class Tree:
             items = {schema.attribute_index(a): sub for a, sub in zip(names, subs)}
             return cls.make(schema.token_index(node["label"]), items)
 
-        return _fold_postorder(raw, children, build)
+        return fold_postorder(raw, children, build)
 
 
-def _fold_postorder(
-    root: N, children: Callable[[N], list[N]], combine: Callable[[N, list[T]], T]
+def fold_postorder(
+    root: N, children: Callable[[N], Iterable[N]], combine: Callable[[N, list[T]], T]
 ) -> T:
     """Fold a tree bottom-up with an explicit stack, so depth is not bounded by recursion.
 
-    children(node) lists a node's children; it runs on every node before any
-    of its descendants. combine(node, results) gets the children's results in
-    that order and returns the node's own.
+    children(node) gives a node's children. They are drawn one at a time, and
+    each child's subtree is folded before the next is drawn, so a generator
+    discovers the tree in depth-first order. combine(node, results) gets the
+    children's results in that order and returns the node's own.
     """
     stack = [(root, iter(children(root)), [])]
     while True:

@@ -157,6 +157,51 @@ class TestChildProbes:
                 probes[0, 0] = 1.0
 
 
+class TestGrandchildProbes:
+    def test_rows_score_the_rotated_child_slots(self, emb_small):
+        u = bt_encode(emb_small, random_tree(6, 10, 2, np.random.default_rng(59))).data
+        for a in range(emb_small.schema.n_attributes):
+            np.testing.assert_allclose(
+                emb_small.grandchild_probes(a) @ u,
+                emb_small.child_probes @ (emb_small.attribute_matrices[a].T @ u),
+                rtol=0,
+                atol=1e-12,
+            )
+
+    def test_built_per_attribute_on_first_use_and_read_only(self, tmp_path):
+        e = make_embedding(make_sweep_schema(3, 2), 16, 1)
+        save_embedding(e, tmp_path / "e.bte")
+        for emb in (e, load_embedding(tmp_path / "e.bte")):
+            assert "_grandchild_probes" not in emb.__dict__
+            table = emb.grandchild_probes(1)
+            assert emb.grandchild_probes(1) is table
+            assert list(emb._grandchild_probes) == [1]
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+
+class TestDeepChain:
+    def test_decodes_without_recursion(self):
+        # basis-vector tokens and the cyclic shift as M_next make the
+        # 1,100-node chain exact: every probe scores 1.0 or 0.0
+        d, n = 1200, 1100
+        e = Embedding(
+            schema=Schema(("a", "next"), ("next",)),
+            dim=d,
+            seed=0,
+            token_vectors=np.eye(2, d),
+            attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None],
+            fingerprint="shift-chain",
+        )
+        v = e.wrap((np.arange(d) < n).astype(float))
+        tree, stats = decode_with_stats(e, v, DecodeConfig(max_depth=5000))
+        want = Tree(0)
+        for _ in range(n - 1):
+            want = Tree(0, ((0, want),))
+        assert tree == want
+        assert (stats.nodes, stats.max_depth) == (n, n - 1)
+
+
 class TestDecode:
     def test_round_trip(self, emb_small):
         rng = np.random.default_rng(50)

@@ -8,8 +8,12 @@ independent to be checked against.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btembed import (
     BTVector,
@@ -22,11 +26,13 @@ from btembed import (
     decode,
     encode_list,
     haar_orthogonal,
+    load_embedding,
     make_embedding,
     make_sweep_schema,
     push,
     random_tree,
     run_decoder,
+    save_embedding,
     zero_vector,
 )
 from btembed.embedding import Embedding, embedding_fingerprint
@@ -40,6 +46,14 @@ def reference_encode(e, tree: Tree) -> np.ndarray:
             term = e.attribute_matrices[attr] @ term
         total += term
     return total
+
+
+def edge_by_edge(e, node: Tree) -> np.ndarray:
+    """Bottom-up encoder with one attribute_matrices[a] @ sub product per edge, leaves included."""
+    acc = e.token_vectors[node.label].copy()
+    for attr, sub in node.children:
+        acc += e.attribute_matrices[attr] @ edge_by_edge(e, sub)
+    return acc
 
 
 def reference_list(e, tokens, next_attr="next") -> np.ndarray:
@@ -150,17 +164,18 @@ class TestEncoding:
 
     def test_accumulation_order_unchanged(self, emb_small):
         # the recursive form adds each child's rotated vector in attribute order;
-        # the iterative fold must give the same bits
-        def recursive(node: Tree) -> np.ndarray:
-            acc = emb_small.token_vectors[node.label].copy()
-            for attr, sub in node.children:
-                acc += emb_small.attribute_matrices[attr] @ recursive(sub)
-            return acc
-
+        # the iterative fold, which reads leaf edges from the leaf-image memo,
+        # must give the same bits, on single nodes and stars of leaves too
+        n_tokens, n_attrs = emb_small.schema.n_tokens, emb_small.schema.n_attributes
+        trees = [Tree(x) for x in range(n_tokens)]
+        for k in range(1, n_attrs + 1):
+            for attrs in itertools.combinations(range(n_attrs), k):
+                trees.append(Tree.make(k, {a: Tree(a + 3 * k) for a in attrs}))
         rng = np.random.default_rng(12)
-        for _ in range(25):
-            tree = random_tree(int(rng.integers(1, 30)), 10, 2, rng)
-            np.testing.assert_array_equal(bt_encode(emb_small, tree).data, recursive(tree))
+        trees += [random_tree(int(rng.integers(1, 30)), 10, 2, rng) for _ in range(25)]
+        for tree in trees:
+            want = edge_by_edge(emb_small, tree)
+            np.testing.assert_array_equal(bt_encode(emb_small, tree).data, want)
 
     def test_deep_chain(self):
         e = make_embedding(make_sweep_schema(10, 2), 16, 1)
@@ -250,6 +265,58 @@ class TestLists:
         shifted = nxt.T @ (v.data - emb_small.token_vector(tokens[0]))
         rest = encode_list(emb_small, tokens[1:])
         np.testing.assert_allclose(shifted, rest.data, atol=1e-9)
+
+
+class TestLeafImages:
+    def test_built_on_first_use_and_read_only(self, tmp_path):
+        e = make_embedding(make_sweep_schema(3, 2), 16, 1)
+        save_embedding(e, tmp_path / "e.bte")
+        for emb in (e, load_embedding(tmp_path / "e.bte")):
+            assert "_leaf_images" not in emb.__dict__
+            image = emb.leaf_image(1, 2)
+            assert emb.leaf_image(1, 2) is image
+            assert list(emb._leaf_images) == [(1, 2)]
+            np.testing.assert_array_equal(image, emb.attribute_matrices[1] @ emb.token_vectors[2])
+            with pytest.raises(ValueError):
+                image[0] = 1.0
+            bt_encode(emb, Tree.make(0, {0: Tree(1), 1: Tree.make(2, {0: Tree(0)})}))
+            assert sorted(emb._leaf_images) == [(0, 0), (0, 1), (1, 2)]
+
+
+def trees(n_tokens: int, n_attrs: int):
+    """Trees with labels below n_tokens and children under attributes below n_attrs."""
+    labels = st.integers(0, n_tokens - 1)
+    return st.recursive(
+        labels.map(Tree),
+        lambda kids: st.builds(
+            Tree.make, labels, st.dictionaries(st.integers(0, n_attrs - 1), kids, max_size=n_attrs)
+        ),
+        max_leaves=10,
+    )
+
+
+class TestLinearity:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(base=trees(10, 2), sub=trees(10, 2), data=st.data())
+    def test_attach_is_bt_encode_of_the_grafted_tree(self, emb_small, base, sub, data):
+        spots = [
+            (path, a)
+            for path, _ in base.paths()
+            for a in range(2)
+            if base.node_at(path).child(a) is None
+        ]
+        path, attr = data.draw(st.sampled_from(spots))
+        glued = attach(emb_small, bt_encode(emb_small, base), path, attr, bt_encode(emb_small, sub))
+        direct = bt_encode(emb_small, base.with_subtree(path, attr, sub))
+        np.testing.assert_allclose(glued.data, direct.data, rtol=0, atol=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(tokens=st.lists(st.integers(0, 11), min_size=1, max_size=16))
+    def test_push_fold_is_encode_list(self, emb_small, tokens):
+        acc = zero_vector(emb_small)
+        for t in reversed(tokens):
+            acc = push(emb_small, acc, t)
+        np.testing.assert_array_equal(acc.data, encode_list(emb_small, tokens).data)
 
 
 class TestIndexBounds:

@@ -29,7 +29,6 @@ from btembed import (
 )
 from btembed.harness import cell_seed, trial_rng
 from btembed.parser import apply_replacement
-from btembed.vectors import best_token
 
 GRAMMAR = balanced_parens_grammar()
 SCHEMA = balanced_parens_schema()
@@ -40,8 +39,7 @@ def tok(e, name):
 
 
 def state_of(e, ruleset, names):
-    slots = [tok(e, n) for n in names]
-    return ParseState(slots, [best_token(ruleset.head_probes @ s, 0.5) for s in slots])
+    return ParseState.start([tok(e, n) for n in names], ruleset)
 
 
 def balanced_words(length):
@@ -128,9 +126,11 @@ class TestWindows:
     def test_apply_replacement_builds_node(self, parens_embedding, parens_ruleset):
         e = parens_embedding
         state = state_of(e, parens_ruleset, ["L", "R"])
+        assert state.leaves == [SCHEMA.token_index("L"), SCHEMA.token_index("R")]
         apply_replacement(parens_ruleset.rules[0], state, 0, parens_ruleset)
         assert len(state.slots) == 1
         assert state.heads == [SCHEMA.token_index("E")]
+        assert state.leaves == [None]
         assert state.steps == 1
         expected = bt_encode(
             e,
@@ -142,7 +142,15 @@ class TestWindows:
                 },
             ),
         )
-        np.testing.assert_allclose(state.slots[0], expected.data, atol=1e-12)
+        # both bind the input tokens by the same memoized leaf images
+        np.testing.assert_array_equal(state.slots[0], expected.data)
+
+    def test_only_exact_token_vectors_are_leaves(self, parens_embedding, parens_ruleset):
+        nudged = tok(parens_embedding, "L")
+        nudged[0] += 1e-9
+        state = ParseState.start([nudged, tok(parens_embedding, "R")], parens_ruleset)
+        assert state.heads == [SCHEMA.token_index("L"), SCHEMA.token_index("R")]
+        assert state.leaves == [None, SCHEMA.token_index("R")]
 
 
 class TestParse:
