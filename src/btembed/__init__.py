@@ -60,13 +60,11 @@ from .parser import (
 )
 from .schema import NEXT, Schema, Tree
 from .transformer import (
-    PositionCodes,
     SeqState,
     XfConfig,
     attention_matrix,
     attention_step,
     block,
-    build_position_codes,
     export_weights,
     ffn1,
     ffn2,

@@ -37,7 +37,7 @@ from .harness import (
 )
 from .io import load_embedding, load_vector, save_embedding, save_vector
 from .schema import Schema, Tree
-from .transformer import XfConfig, build_position_codes, export_weights, run_decoder, save_weights
+from .transformer import XfConfig, export_weights, run_decoder, save_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,8 +114,7 @@ def cmd_transformer_query(args) -> int:
     )
     labels = run_decoder(e, v, path, cfg)
     if args.dump_weights:
-        codes = build_position_codes(len(path) + 1, cfg.k)
-        save_weights(export_weights(e, codes, cfg), args.dump_weights)
+        save_weights(export_weights(e, cfg), args.dump_weights)
     names = [None if i is None else e.schema.tokens[i] for i in labels]
     sys.stdout.write(json.dumps(names) + "\n")
     return EXIT_OK

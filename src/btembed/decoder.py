@@ -50,8 +50,11 @@ class DecodeStats:
 
 
 def decode_token(e: Embedding, v: BTVector | np.ndarray, threshold: float = 0.5) -> int | None:
-    """Best token index if its probe clears the threshold, else None."""
-    data = v.data if isinstance(v, BTVector) else np.asarray(v)
+    """Best token index if its probe clears the threshold, else None.
+
+    A BTVector is checked against e first; a bare array is taken as is.
+    """
+    data = e.check(v) if isinstance(v, BTVector) else np.asarray(v)
     return best_token(e.token_vectors @ data, threshold)
 
 

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DimensionTooSmallError, SchemaMismatchError
+from .exceptions import DimensionTooSmallError
 from .schema import NEXT, Schema, Tree
-from .vectors import BTVector, read_only
+from .vectors import BTVector, checked_data, read_only
 
 GENERATOR_NAME = "philox"
 _MAX_SEED = 2**64 - 1
@@ -125,16 +125,7 @@ class Embedding:
         return BTVector(data, self.fingerprint)
 
     def check(self, v: BTVector) -> np.ndarray:
-        if v.fingerprint != self.fingerprint:
-            raise SchemaMismatchError(
-                f"vector fingerprint {v.fingerprint[:12]} does not match "
-                f"embedding {self.fingerprint[:12]}"
-            )
-        if v.dim != self.dim:
-            raise SchemaMismatchError(f"vector has dim {v.dim}, embedding has dim {self.dim}")
-        if not np.isfinite(v.data).all():
-            raise ValueError("vector holds NaN or infinite values")
-        return v.data
+        return checked_data(v, self.fingerprint, self.dim)
 
 
 def make_embedding(schema: Schema, dim: int, seed: int) -> Embedding:

@@ -100,6 +100,8 @@ def load_embedding(path: str | Path) -> Embedding:
         ).reshape(n_attr, dim, dim)
         if f.read(1):
             raise FileFormatError("trailing bytes after payload")
+    if not (np.isfinite(tok).all() and np.isfinite(mats).all()):
+        raise FileFormatError("embedding payload holds NaN or infinite values")
     return Embedding(
         schema=schema,
         dim=dim,

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import NoParseError, SchemaMismatchError, StepBudgetExceededError
-from .vectors import BTVector, best_token
+from .exceptions import NoParseError, StepBudgetExceededError
+from .vectors import BTVector, best_token, checked_data
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,16 @@ def parse_vectors(slots: list[BTVector], ruleset: RuleSet, max_steps: int | None
 
     Succeeds when exactly one slot remains and nothing matches. Raises
     NoParseError when stuck with several slots, StepBudgetExceededError when
-    the rewrite count passes max_steps (default 4 n^2).
+    the rewrite count passes max_steps (default 4 n^2). A slot from another
+    embedding or of another dim raises SchemaMismatchError, and one holding
+    NaN or inf raises ValueError, as in every other vector operation.
     """
     if not slots:
         raise NoParseError("no input slots")
-    fp = ruleset.fingerprint
-    if any(v.fingerprint != fp for v in slots):
-        raise SchemaMismatchError("slot fingerprint does not match ruleset")
+    fp, dim = ruleset.fingerprint, ruleset.head_probes.shape[1]
     if max_steps is None:
         max_steps = 4 * len(slots) ** 2
-    state = ParseState.start([v.data for v in slots], ruleset)
+    state = ParseState.start([checked_data(v, fp, dim) for v in slots], ruleset)
     while True:
         hit = False
         for rule in ruleset.rules:

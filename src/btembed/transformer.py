@@ -3,16 +3,17 @@
 The decoder runs n slots for a length n-1 path. Slots concatenate five
 channels: position code p (k wide), working vector v, relay w, path r, and
 output t (d wide each). The prompt gives each slot its own input embedding,
-built outside the network: the one-hot position code p_i = e_i = Z^(i-1) e_1,
+built outside the network: in p the one-hot code p_i = e_i = Z^(i-1) e_1,
 with Z the cyclic shift, and in r the token of the attribute that leads into
 slot i (zero in slot 1, the root). Slot 1's v holds the query. Every block
 moves each slot's working vector one step down the path and deposits the
 decoded token into the slot's output channel; slot i's token settles at block
-i, so the block is applied n times. No block writes r. All nonlinearity lives
-in the two feed-forward passes; attention only routes w forward by one slot
-under a strict causal mask. Distinct codes are orthogonal, so slot i's query
-Z^-1 p_i matches p_(i-1) alone: attention puts weight 1.0 on it and
-exp(-sharpness) on each other earlier slot.
+i, so the block is applied n times. No block writes p or r. All nonlinearity
+lives in the two feed-forward passes; attention only routes w forward by one
+slot under a strict causal mask. It reads its queries and keys from the
+state's p channel, q_i = Z^-1 p_i and k_j = p_j, as the exported Wq and Wk
+do. Distinct codes are orthogonal, so q_i matches p_(i-1) alone: attention
+puts weight 1.0 on it and exp(-sharpness) on each other earlier slot.
 
 The structured evaluator computes what the dense export computes, but ffn1
 takes M_j^T v only for the (slot, attribute) pairs whose gate can pass it (in
@@ -42,31 +43,9 @@ class XfConfig:
     gate_constant: float = 1e4
 
 
-@dataclass(frozen=True)
-class PositionCodes:
-    """Unit codes p_i = Z^(i-1) p_1 for an orthogonal step Z."""
-
-    codes: np.ndarray
-    step: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.codes.shape[1]
-
-
-def build_position_codes(n: int, k: int) -> PositionCodes:
-    """One-hot codes p_i = e_i, stepped by the cyclic shift Z e_i = e_(i+1).
-
-    Any two codes are orthogonal, so every n <= k is exact; n > k slots raise
-    PathTooLongError.
-    """
-    if n > k:
-        raise PathTooLongError(f"{n} slots exceed position dimension k={k}")
-    return PositionCodes(np.eye(n, k), np.roll(np.eye(k), 1, axis=0))
+def _cyclic_shift(k: int) -> np.ndarray:
+    """The cyclic shift Z e_i = e_(i+1), indices mod k."""
+    return np.roll(np.eye(k), 1, axis=0)
 
 
 @dataclass(frozen=True)
@@ -83,36 +62,32 @@ class SeqState:
         return np.concatenate([self.pos, self.v, self.w, self.r, self.t], axis=1)
 
 
-def init_state(
-    e: Embedding,
-    v: BTVector,
-    path: Sequence[int | str],
-    codes: PositionCodes,
-) -> SeqState:
-    """The prompt: the query in slot 1's v, and in r one path token per slot.
+def init_state(e: Embedding, v: BTVector, path: Sequence[int | str], k: int) -> SeqState:
+    """The prompt: one-hot codes in p, the query in slot 1's v, and in r one path token per slot.
 
-    Slot i >= 2 holds the token of the (i-1)-th path attribute, gathered from
-    the token table: one input embedding per position, like the position
-    codes. Slot 1's r is zero, as the root label needs no step.
+    Slot i holds the code p_i = e_i of width k, so any two codes are
+    orthogonal; n > k slots raise PathTooLongError. Slot i >= 2 holds in r
+    the token of the (i-1)-th path attribute, gathered from the token table.
+    Slot 1's r is zero, as the root label needs no step.
     """
+    n = len(path) + 1
+    if n > k:
+        raise PathTooLongError(f"{n} slots exceed position dimension k={k}")
     data = e.check(v)
     tokens = [e.schema.attribute_token_indices[e.schema.attribute_index(a)] for a in path]
-    n = len(tokens) + 1
-    if codes.n != n:
-        raise ValueError(f"position codes built for n={codes.n}, path needs {n}")
     d = e.dim
     vm = np.zeros((n, d))
     vm[0] = data
     rm = np.zeros((n, d))
     rm[1:] = e.token_vectors[tokens]
-    return SeqState(pos=codes.codes.copy(), v=vm, w=np.zeros((n, d)), r=rm, t=np.zeros((n, d)))
+    return SeqState(pos=np.eye(n, k), v=vm, w=np.zeros((n, d)), r=rm, t=np.zeros((n, d)))
 
 
-def attention_matrix(codes: PositionCodes, cfg: XfConfig) -> np.ndarray:
-    """Softmax weights over j < i; row 1 is identically zero by definition."""
-    n = codes.n
-    queries = codes.codes @ codes.step  # row i holds (Z^-1 p_i)^T
-    logits = cfg.attn_sharpness * (queries @ codes.codes.T)
+def attention_matrix(pos: np.ndarray, cfg: XfConfig) -> np.ndarray:
+    """Softmax weights over j < i for the codes in pos; row 1 is identically zero by definition."""
+    n, k = pos.shape
+    queries = pos @ _cyclic_shift(k)  # row i holds (Z^-1 p_i)^T
+    logits = cfg.attn_sharpness * (queries @ pos.T)
     mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
     weights = np.zeros((n, n))
     masked = np.where(mask, logits, -np.inf)[1:]
@@ -122,14 +97,14 @@ def attention_matrix(codes: PositionCodes, cfg: XfConfig) -> np.ndarray:
     return weights
 
 
-def attention_step(state: SeqState, codes: PositionCodes, cfg: XfConfig) -> SeqState:
+def attention_step(state: SeqState, cfg: XfConfig) -> SeqState:
     """Each slot pulls its predecessor's relay into v.
 
     Value vectors carry (0, w_j, 0, 0, 0); the residual keeps everything else
     in place. r needs no route, as the prompt gave each slot its own path
     token. The mask is strictly causal, so slot 1 receives nothing.
     """
-    return replace(state, v=state.v + attention_matrix(codes, cfg) @ state.w)
+    return replace(state, v=state.v + attention_matrix(state.pos, cfg) @ state.w)
 
 
 def ffn1(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
@@ -178,8 +153,8 @@ def ffn2(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
     return replace(state, v=new_v, t=new_t)
 
 
-def block(state: SeqState, codes: PositionCodes, e: Embedding, cfg: XfConfig) -> SeqState:
-    return ffn2(ffn1(attention_step(state, codes, cfg), e, cfg), e, cfg)
+def block(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
+    return ffn2(ffn1(attention_step(state, cfg), e, cfg), e, cfg)
 
 
 def run_decoder(
@@ -194,14 +169,13 @@ def run_decoder(
     after following the first i-1 path attributes.
     """
     n = len(path) + 1
-    codes = build_position_codes(n, cfg.k)
-    state = init_state(e, v, path, codes)
+    state = init_state(e, v, path, cfg.k)
     for _ in range(n):
-        state = block(state, codes, e, cfg)
+        state = block(state, e, cfg)
     return [decode_token(e, state.t[i]) for i in range(n)]
 
 
-def export_weights(e: Embedding, codes: PositionCodes, cfg: XfConfig) -> dict[str, np.ndarray]:
+def export_weights(e: Embedding, cfg: XfConfig) -> dict[str, np.ndarray]:
     """Materialize the block as dense tensors over the full slot width.
 
     Channel layout along the width: [p | v | w | r | t]. The attention value
@@ -209,7 +183,7 @@ def export_weights(e: Embedding, codes: PositionCodes, cfg: XfConfig) -> dict[st
     bit for bit; x + out @ relu(lin @ x + bias) applies an FFN. Dense size
     grows with d^2, so exporting is meant for small dimensions.
     """
-    k, d = codes.k, e.dim
+    k, d = cfg.k, e.dim
     n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
     s = k + 4 * d
     pv, vv, wv, rv, tv = 0, k, k + d, k + 2 * d, k + 3 * d
@@ -217,7 +191,7 @@ def export_weights(e: Embedding, codes: PositionCodes, cfg: XfConfig) -> dict[st
     attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
 
     wq = np.zeros((k, s))
-    wq[:, pv : pv + k] = codes.step.T
+    wq[:, pv : pv + k] = _cyclic_shift(k).T
     wk = np.zeros((k, s))
     wk[:, pv : pv + k] = np.eye(k)
     wval = np.zeros((s, s))

@@ -1,10 +1,13 @@
-"""Embedding-space vectors tagged with their embedding's fingerprint, and the token probe rule."""
+"""Embedding-space vectors tagged with their embedding's fingerprint, the check
+that a vector fits its embedding, and the token probe rule."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .exceptions import SchemaMismatchError
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -45,3 +48,16 @@ class BTVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
+
+
+def checked_data(v: BTVector, fingerprint: str, dim: int) -> np.ndarray:
+    """v's data, once v is shown to carry the fingerprint, `dim` entries and only finite values."""
+    if v.fingerprint != fingerprint:
+        raise SchemaMismatchError(
+            f"vector fingerprint {v.fingerprint[:12]} does not match embedding {fingerprint[:12]}"
+        )
+    if v.dim != dim:
+        raise SchemaMismatchError(f"vector has dim {v.dim}, embedding has dim {dim}")
+    if not np.isfinite(v.data).all():
+        raise ValueError("vector holds NaN or infinite values")
+    return v.data

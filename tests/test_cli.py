@@ -21,7 +21,6 @@ from btembed import (
     XfConfig,
     balanced_parens_grammar,
     balanced_parens_schema,
-    build_position_codes,
     export_weights,
     load_embedding,
     save_grammar,
@@ -135,6 +134,17 @@ class TestEncodeDecode:
         assert main(["decode", "--embedding", str(ws["emb"]), "--vector", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: vector payload holds NaN") and err.count("\n") == 1
+
+    def test_non_finite_embedding_exits_2(self, ws, capsys):
+        e = load_embedding(ws["emb"])
+        raw = bytearray(ws["emb"].read_bytes())
+        payload = 8 * (e.schema.n_tokens * e.dim + e.schema.n_attributes * e.dim**2)
+        struct.pack_into("<d", raw, len(raw) - payload, np.nan)  # the first token's first entry
+        p = ws["root"] / "nan.bte"
+        p.write_bytes(bytes(raw))
+        assert main(["decode", "--embedding", str(p), "--vector", str(ws["vec"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding payload holds NaN") and err.count("\n") == 1
 
     def test_tight_budget_exits_6(self, ws):
         rc = main(["decode", "--embedding", str(ws["emb"]), "--vector", str(ws["vec"]),
@@ -306,9 +316,21 @@ class TestTransformerQuery:
         rc = main(["transformer-query", "--embedding", str(emb), "--vector", str(vec),
                    "--path", "next", "--k", "16", "--dump-weights", str(wdir)])
         assert rc == 0
-        expected = export_weights(e, build_position_codes(2, 16), XfConfig(k=16))["Wq"]
+        expected = export_weights(e, XfConfig(k=16))["Wq"]
         written = np.fromfile(wdir / "Wq.bin", dtype="<f8").reshape(expected.shape)
         np.testing.assert_array_equal(written, expected)
+
+    def test_dumped_weights_do_not_depend_on_the_path(self, ws, tmp_path):
+        # positions come from the prompt, so one set of tensors serves every
+        # path that fits in k slots
+        dumps = []
+        for path in ("", "arg1,next,next"):
+            wdir = tmp_path / f"w{len(dumps)}"
+            rc = main(["transformer-query", "--embedding", str(ws["emb"]), "--vector", str(ws["vec"]),
+                       "--path", path, "--k", "8", "--dump-weights", str(wdir)])
+            assert rc == 0
+            dumps.append({f.name: f.read_bytes() for f in wdir.iterdir()})
+        assert dumps[0] == dumps[1]
 
 
 class TestExperiment:

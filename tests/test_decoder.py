@@ -9,6 +9,7 @@ from btembed import (
     DecodeStats,
     Embedding,
     Schema,
+    SchemaMismatchError,
     Tree,
     bt_encode,
     decode,
@@ -33,6 +34,15 @@ class TestDecodeToken:
 
     def test_zero_vector(self, emb_small):
         assert decode_token(emb_small, np.zeros(emb_small.dim)) is None
+
+    def test_vector_is_checked_against_the_embedding(self, emb_small):
+        # a bare array is read as is; a BTVector is checked like any other operand
+        other = make_embedding(emb_small.schema, emb_small.dim, 999)
+        with pytest.raises(SchemaMismatchError):
+            decode_token(emb_small, other.wrap(other.token_vectors[0]))
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            decode_token(emb_small, emb_small.wrap(np.full(emb_small.dim, np.nan)))
+        assert decode_token(emb_small, emb_small.wrap(emb_small.token_vectors[3])) == 3
 
     def exact_embedding(self) -> Embedding:
         # hand-built axis-aligned embedding so probe values are exact floats;

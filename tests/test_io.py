@@ -4,8 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btembed import (
+    BTError,
     BTVector,
     FileFormatError,
     Tree,
@@ -138,6 +141,20 @@ class TestEmbeddingFile:
         with pytest.raises(FileFormatError):
             load_embedding(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("block", ["token matrix", "attribute matrices"])
+    def test_non_finite_payload(self, emb, tmp_path, bad, block):
+        p = tmp_path / "e.bte"
+        save_embedding(emb, p)
+        raw = bytearray(p.read_bytes())
+        tokens = 8 * emb.schema.n_tokens * emb.dim
+        matrices = 8 * emb.schema.n_attributes * emb.dim**2
+        start = {"token matrix": len(raw) - matrices - tokens, "attribute matrices": len(raw) - matrices}
+        struct.pack_into("<d", raw, start[block] + 40, bad)  # the sixth entry of the block
+        p.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="NaN or infinite"):
+            load_embedding(p)
+
 
 class TestVectorFile:
     def test_round_trip(self, emb, tmp_path):
@@ -187,3 +204,50 @@ class TestVectorFile:
         save_vector(BTVector(data, emb.fingerprint), p)
         with pytest.raises(FileFormatError, match="NaN or infinite"):
             load_vector(p)
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    """The bytes of a d = 4 .bte and of a .btv made with it, and a directory for the cases."""
+    e = make_embedding(make_sweep_schema(3, 2), 4, 17)
+    root = tmp_path_factory.mktemp("fuzz")
+    save_embedding(e, root / "tiny.bte")
+    save_vector(bt_encode(e, Tree.make(0, {0: Tree(1)})), root / "tiny.btv")
+    return root, {kind: (root / f"tiny.{kind}").read_bytes() for kind in FORMATS}
+
+
+FORMATS = {"bte": (load_embedding, save_embedding), "btv": (load_vector, save_vector)}
+
+
+def load_or_refuse(root, kind: str, blob: bytes) -> None:
+    """Load blob: it must raise a typed error, or save back to the very same bytes."""
+    load, save = FORMATS[kind]
+    case, again = root / f"case.{kind}", root / f"again.{kind}"
+    case.write_bytes(blob)
+    try:
+        loaded = load(case)
+    except (BTError, ValueError):
+        return
+    save(loaded, again)
+    assert again.read_bytes() == blob
+
+
+class TestDamagedFiles:
+    """Truncations and single-bit flips of both formats end in a BTError or a
+    ValueError, or load to what saves back to the same bytes."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(FORMATS)), data=st.data())
+    def test_truncation(self, tiny_files, kind, data):
+        root, blobs = tiny_files
+        cut = data.draw(st.integers(0, len(blobs[kind]) - 1))
+        load_or_refuse(root, kind, blobs[kind][:cut])
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(sorted(FORMATS)), data=st.data())
+    def test_bit_flip(self, tiny_files, kind, data):
+        root, blobs = tiny_files
+        raw = bytearray(blobs[kind])
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+        load_or_refuse(root, kind, bytes(raw))

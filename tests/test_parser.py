@@ -252,6 +252,19 @@ class TestParse:
         with pytest.raises(SchemaMismatchError):
             parse_vectors(slots, parens_ruleset)
 
+    def test_wrong_dim_slot_rejected(self, parens_embedding, parens_ruleset):
+        e = parens_embedding
+        with pytest.raises(SchemaMismatchError, match="dim 3"):
+            parse_vectors([e.wrap(tok(e, "L")), e.wrap(np.ones(3))], parens_ruleset)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_slot_rejected(self, parens_embedding, parens_ruleset, bad):
+        e = parens_embedding
+        data = tok(e, "R")
+        data[5] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            parse_vectors([e.wrap(tok(e, "L")), e.wrap(data)], parens_ruleset)
+
 
 class TestEngineIsolation:
     """The engine module must stay blind to schemas, tokens, and trees."""

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btembed import (
     DuplicateNameError,
@@ -179,6 +182,41 @@ class TestTreeSerialization:
         s = small_schema()
         with pytest.raises(KeyError):
             Tree.from_dict({"label": "qq", "children": {}}, schema=s)
+
+
+def trees(n_tokens: int, n_attrs: int):
+    """Trees with labels below n_tokens and children under attributes below n_attrs."""
+    labels = st.integers(0, n_tokens - 1)
+    return st.recursive(
+        labels.map(Tree),
+        lambda kids: st.builds(
+            Tree.make, labels, st.dictionaries(st.integers(0, n_attrs - 1), kids, max_size=n_attrs)
+        ),
+        max_leaves=30,
+    )
+
+
+class TestTreeDictProperties:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(tree=trees(5, 2))
+    def test_round_trip_through_json(self, tree):
+        s = small_schema()
+        assert Tree.from_dict(json.loads(json.dumps(tree.to_dict(s))), s) == tree
+
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(depth=st.integers(1000, 6000), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_of_deep_chains(self, depth, seed):
+        # labels and attributes vary down the chain, and each node may carry a leaf beside it
+        rng = np.random.default_rng(seed)
+        tree = Tree(int(rng.integers(5)))
+        for _ in range(depth - 1):
+            attr = int(rng.integers(2))
+            kids = {attr: tree}
+            if rng.random() < 0.5:
+                kids[1 - attr] = Tree(int(rng.integers(5)))
+            tree = Tree.make(int(rng.integers(5)), kids)
+        s = small_schema()
+        assert Tree.from_dict(tree.to_dict(s), s) == tree
 
 
 def deep_chain(depth: int) -> Tree:

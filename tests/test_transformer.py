@@ -21,7 +21,6 @@ from btembed import (
     attention_step,
     block,
     bt_encode,
-    build_position_codes,
     decode,
     decode_token,
     export_weights,
@@ -69,49 +68,60 @@ def random_path(tree, rng, max_len):
     return path
 
 
-class TestPositionCodes:
-    def test_unit_norms_and_orbit(self):
-        codes = build_position_codes(8, 64)
-        np.testing.assert_array_equal(codes.codes @ codes.codes.T, np.eye(8))
-        np.testing.assert_array_equal(codes.step @ codes.step.T, np.eye(64))
-        np.testing.assert_array_equal(codes.codes[0], np.eye(64)[0])
-        for i in range(1, 8):
-            np.testing.assert_array_equal(codes.codes[i], codes.step @ codes.codes[i - 1])
+def positions(e, n, k):
+    """The p channel of an n-slot prompt at width k."""
+    return init_state(e, e.wrap(np.zeros(e.dim)), [0] * (n - 1), k).pos
 
-    def test_step_is_a_permutation(self):
-        step = build_position_codes(3, 16).step
+
+def shift(e, k):
+    """Z, read back from the exported query map: Wq's p block is Z^T."""
+    wq = export_weights(e, XfConfig(k=k))["Wq"]
+    np.testing.assert_array_equal(wq[:, k:], 0.0)
+    return wq[:, :k].T
+
+
+class TestPositions:
+    """The prompt's one-hot codes and the step Z that attention and Wq share."""
+
+    def test_unit_norms_and_orbit(self, small):
+        pos, step = positions(small, 8, 8), shift(small, 8)
+        np.testing.assert_array_equal(pos @ pos.T, np.eye(8))
+        np.testing.assert_array_equal(step @ step.T, np.eye(8))
+        np.testing.assert_array_equal(pos[0], np.eye(8)[0])
+        for i in range(1, 8):
+            np.testing.assert_array_equal(pos[i], step @ pos[i - 1])
+
+    def test_step_is_a_permutation(self, small):
+        step = shift(small, 16)
         assert set(np.unique(step)) == {0.0, 1.0}
         np.testing.assert_array_equal(step.sum(axis=0), 1.0)
         np.testing.assert_array_equal(step.sum(axis=1), 1.0)
 
-    def test_deterministic(self):
-        a, b = build_position_codes(6, 32), build_position_codes(6, 32)
-        np.testing.assert_array_equal(a.codes, b.codes)
-        np.testing.assert_array_equal(a.step, b.step)
+    def test_deterministic(self, small):
+        np.testing.assert_array_equal(positions(small, 6, 32), positions(small, 6, 32))
+        np.testing.assert_array_equal(shift(small, 32), shift(small, 32))
 
-    def test_single_slot(self):
-        codes = build_position_codes(1, 16)
-        assert codes.n == 1 and codes.k == 16
-        np.testing.assert_array_equal(codes.codes[0], np.eye(16)[0])
+    def test_single_slot(self, small):
+        pos = positions(small, 1, 16)
+        assert pos.shape == (1, 16)
+        np.testing.assert_array_equal(pos[0], np.eye(16)[0])
 
-    def test_every_slot_count_up_to_k(self):
+    def test_every_slot_count_up_to_k(self, small):
         for n in range(1, 9):
-            assert build_position_codes(n, 8).n == n
+            np.testing.assert_array_equal(positions(small, n, 8), np.eye(n, 8))
         with pytest.raises(PathTooLongError):
-            build_position_codes(9, 8)
+            positions(small, 9, 8)
 
 
 class TestAttention:
-    def test_weight_rows(self):
-        codes = build_position_codes(8, 64)
-        w = attention_matrix(codes, XfConfig())
+    def test_weight_rows(self, small):
+        w = attention_matrix(positions(small, 8, 64), XfConfig())
         np.testing.assert_array_equal(w[0], 0.0)
         np.testing.assert_allclose(w[1:].sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w[np.triu_indices(8)] == 0.0)  # strictly causal
 
-    def test_mass_lands_on_predecessor(self):
-        codes = build_position_codes(8, 64)
-        w = attention_matrix(codes, XfConfig())
+    def test_mass_lands_on_predecessor(self, small):
+        w = attention_matrix(positions(small, 8, 64), XfConfig())
         for i in range(1, 8):
             assert w[i, i - 1] == 1.0
             # every other earlier slot keeps exp(-sharpness) of the mass
@@ -119,13 +129,12 @@ class TestAttention:
 
     def test_value_delivery_matches_manual_softmax(self, emb_paths):
         e = emb_paths
-        codes = build_position_codes(3, 64)
         rng = np.random.default_rng(68)
-        state = init_state(e, bt_encode(e, random_tree(4, 30, 3, rng)), [0, 1], codes)
+        state = init_state(e, bt_encode(e, random_tree(4, 30, 3, rng)), [0, 1], 64)
         wm = rng.standard_normal((3, e.dim))
         state = replace(state, w=wm)
-        out = attention_step(state, codes, XfConfig())
-        weights = attention_matrix(codes, XfConfig())
+        out = attention_step(state, XfConfig())
+        weights = attention_matrix(state.pos, XfConfig())
         np.testing.assert_allclose(out.v, state.v + weights @ wm, atol=1e-12)
         # slot 3 pulls essentially all of w_2
         assert np.linalg.norm(out.v[2] - wm[1]) < 1e-3
@@ -137,10 +146,9 @@ class TestAttention:
 class TestInitState:
     def test_layout(self, emb_paths):
         e = emb_paths
-        codes = build_position_codes(3, 64)
         v = bt_encode(e, tree_small())
-        state = init_state(e, v, ["next", "arg1"], codes)
-        assert state.pos.shape == (3, 64)
+        state = init_state(e, v, ["next", "arg1"], 64)
+        np.testing.assert_array_equal(state.pos, np.eye(3, 64))
         assert state.as_matrix().shape == (3, 64 + 4 * e.dim)
         np.testing.assert_array_equal(state.v[0], v.data)
         np.testing.assert_array_equal(state.v[1:], 0.0)
@@ -154,22 +162,14 @@ class TestInitState:
     def test_slot_one_hides_its_own_head(self, emb_paths):
         # the root label needs no step, so slot 1's r decodes to nothing
         e = emb_paths
-        codes = build_position_codes(4, 64)
         v = bt_encode(e, tree_small())
-        state = init_state(e, v, ["next", "arg1", "arg2"], codes)
+        state = init_state(e, v, ["next", "arg1", "arg2"], 64)
         assert decode_token(e, state.r[0]) is None
 
     def test_empty_path_has_zero_chain(self, emb_paths):
         e = emb_paths
-        codes = build_position_codes(1, 64)
-        state = init_state(e, bt_encode(e, tree_small()), [], codes)
+        state = init_state(e, bt_encode(e, tree_small()), [], 64)
         np.testing.assert_array_equal(state.r, 0.0)
-
-    def test_wrong_code_count(self, emb_paths):
-        e = emb_paths
-        codes = build_position_codes(3, 64)
-        with pytest.raises(ValueError):
-            init_state(e, bt_encode(e, tree_small()), ["next"], codes)
 
 
 class TestSchedule:
@@ -189,15 +189,14 @@ class TestSchedule:
         labels = path_labels(tree, path)
         attr_tokens = [e.schema.attribute_token_indices[a] for a in path]
         n = len(path) + 1
-        codes = build_position_codes(n, 64)
-        state = init_state(e, bt_encode(e, tree), path, codes)
+        state = init_state(e, bt_encode(e, tree), path, 64)
         prompt_r = state.r.copy()
         for s in range(n):
             # r: slot s holds the s-th path token from the prompt on
             assert decode_token(e, state.r[s]) == (attr_tokens[s - 1] if s else None), (s, "r")
         cfg = XfConfig()
         for b in range(1, n + 1):
-            state = block(state, codes, e, cfg)
+            state = block(state, e, cfg)
             np.testing.assert_array_equal(state.r, prompt_r)
             for s in range(n):
                 # w is the one-block relay: it carries the prefix label only
@@ -213,10 +212,9 @@ class TestSchedule:
         rng = np.random.default_rng(75)
         tree, path = self.make_instance(e, rng)
         n = len(path) + 1
-        codes = build_position_codes(n, 64)
-        state = init_state(e, bt_encode(e, tree), path, codes)
+        state = init_state(e, bt_encode(e, tree), path, 64)
         for _ in range(n):
-            state = block(state, codes, e, XfConfig())
+            state = block(state, e, XfConfig())
             np.testing.assert_array_equal(state.v, 0.0)
 
     def test_block_count_is_exactly_n(self, emb_paths):
@@ -228,12 +226,11 @@ class TestSchedule:
             tree, path = self.make_instance(e, rng)
         labels = path_labels(tree, path)
         n = len(path) + 1
-        codes = build_position_codes(n, 64)
-        state = init_state(e, bt_encode(e, tree), path, codes)
+        state = init_state(e, bt_encode(e, tree), path, 64)
         for _ in range(n - 1):
-            state = block(state, codes, e, XfConfig())
+            state = block(state, e, XfConfig())
         assert decode_token(e, state.t[n - 1]) is None
-        state = block(state, codes, e, XfConfig())
+        state = block(state, e, XfConfig())
         assert [decode_token(e, state.t[i]) for i in range(n)] == labels
 
 
@@ -335,8 +332,8 @@ def ffn1_all_pairs(state, e, cfg):
     return replace(state, w=f1)
 
 
-def block_all_pairs(state, codes, e, cfg):
-    return ffn2(ffn1_all_pairs(attention_step(state, codes, cfg), e, cfg), e, cfg)
+def block_all_pairs(state, e, cfg):
+    return ffn2(ffn1_all_pairs(attention_step(state, cfg), e, cfg), e, cfg)
 
 
 def gate_inputs_to_r(e, inputs):
@@ -356,10 +353,9 @@ class TestLiveSlotFfn1:
         for _ in range(10):
             tree = random_tree(int(rng.integers(2, 9)), 30, 3, rng)
             path = random_path(tree, rng, 4)
-            codes = build_position_codes(len(path) + 1, 64)
-            state = init_state(e, bt_encode(e, tree), path, codes)
-            for _ in range(codes.n):
-                state = attention_step(state, codes, cfg)
+            state = init_state(e, bt_encode(e, tree), path, 64)
+            for _ in range(len(path) + 1):
+                state = attention_step(state, cfg)
                 got = ffn1(state, e, cfg)
                 want = ffn1_all_pairs(state, e, cfg)
                 np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-9)
@@ -367,8 +363,7 @@ class TestLiveSlotFfn1:
 
     def adversarial_state(self, e, case, rng):
         n, d = 4, e.dim
-        codes = build_position_codes(n, 64)
-        state = init_state(e, e.wrap(np.zeros(d)), [0, 1, 2], codes)
+        state = init_state(e, e.wrap(np.zeros(d)), [0, 1, 2], 64)
         n_attrs = e.schema.n_attributes
         if case == "zero":
             return replace(state, r=np.zeros((n, d)))
@@ -410,11 +405,10 @@ class TestLiveSlotFfn1:
         for _ in range(15):
             tree = random_tree(int(rng.integers(1, 10)), 30, 3, rng)
             path = random_path(tree, rng, 4)
-            codes = build_position_codes(len(path) + 1, 64)
-            got = want = init_state(e, bt_encode(e, tree), path, codes)
-            for _ in range(codes.n):
-                got = block(got, codes, e, cfg)
-                want = block_all_pairs(want, codes, e, cfg)
+            got = want = init_state(e, bt_encode(e, tree), path, 64)
+            for _ in range(len(path) + 1):
+                got = block(got, e, cfg)
+                want = block_all_pairs(want, e, cfg)
                 np.testing.assert_array_equal(got.t, want.t)
                 np.testing.assert_array_equal(got.r, want.r)
                 np.testing.assert_allclose(got.w, want.w, rtol=0, atol=1e-9)
@@ -424,9 +418,7 @@ class TestLiveSlotFfn1:
 
 @pytest.fixture(scope="module")
 def small():
-    e = make_embedding(make_sweep_schema(6, 2), 24, 91)
-    codes = build_position_codes(4, 8)
-    return e, codes
+    return make_embedding(make_sweep_schema(6, 2), 24, 91)
 
 
 class TestDenseParity:
@@ -452,37 +444,37 @@ class TestDenseParity:
         return x
 
     def test_block_parity(self, small):
-        e, codes = small
+        e = small
         rng = np.random.default_rng(93)
         tree = random_tree(5, 6, 2, rng)
         path = random_path(tree, rng, 3)
         while len(path) != 3:
             tree = random_tree(5, 6, 2, rng)
             path = random_path(tree, rng, 3)
-        self.assert_parity(e, codes, init_state(e, bt_encode(e, tree), path, codes))
+        self.assert_parity(e, init_state(e, bt_encode(e, tree), path, 8))
 
     def test_block_parity_two_live_slots(self, small):
         # a second slot with nonzero v exercises every skip ffn1 can make
-        e, codes = small
+        e = small
         rng = np.random.default_rng(94)
         trees = [random_tree(4, 6, 2, rng) for _ in range(2)]
-        state = init_state(e, bt_encode(e, trees[0]), [0, 1, 0], codes)
+        state = init_state(e, bt_encode(e, trees[0]), [0, 1, 0], 8)
         v = state.v.copy()
         v[2] = bt_encode(e, trees[1]).data
-        self.assert_parity(e, codes, replace(state, v=v))
+        self.assert_parity(e, replace(state, v=v))
 
-    def assert_parity(self, e, codes, state):
+    def assert_parity(self, e, state):
         cfg = XfConfig(k=8)
-        tensors = export_weights(e, codes, cfg)
+        tensors = export_weights(e, cfg)
         x = state.as_matrix()
         for _ in range(4):
-            state = block(state, codes, e, cfg)
+            state = block(state, e, cfg)
             x = self.dense_block(x, tensors, cfg)
             np.testing.assert_allclose(x, state.as_matrix(), atol=1e-8)
 
     def test_tensor_shapes(self, small):
-        e, codes = small
-        tensors = export_weights(e, codes, XfConfig(k=8))
+        e = small
+        tensors = export_weights(e, XfConfig(k=8))
         d, k = e.dim, 8
         s = k + 4 * d
         n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
@@ -495,8 +487,8 @@ class TestDenseParity:
         assert tensors["f2_lin"].shape == (2 * n_tokens + 2 * d, s)
 
     def test_save_weights(self, small, tmp_path):
-        e, codes = small
-        tensors = export_weights(e, codes, XfConfig(k=8))
+        e = small
+        tensors = export_weights(e, XfConfig(k=8))
         save_weights(tensors, tmp_path / "wts")
         manifest = json.loads((tmp_path / "wts" / "manifest.json").read_text())
         assert manifest["byte_order"] == "little"
