@@ -72,4 +72,4 @@ from .transformer import (
     run_decoder,
     save_weights,
 )
-from .vectors import BTVector
+from .vectors import THRESHOLD, BTVector

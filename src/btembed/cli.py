@@ -79,7 +79,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     e = load_embedding(args.embedding)
     v = load_vector(args.vector)
-    cfg = DecodeConfig(threshold=args.threshold, max_depth=args.max_depth, max_nodes=args.max_nodes)
+    cfg = DecodeConfig(max_depth=args.max_depth, max_nodes=args.max_nodes)
     tree = decode(e, v, cfg)
     if tree is None:
         return _fail(EXIT_ABSENT, "vector decodes to absent")
@@ -107,11 +107,7 @@ def cmd_transformer_query(args) -> int:
     e = load_embedding(args.embedding)
     v = load_vector(args.vector)
     path = [p for p in args.path.replace(",", " ").split()] if args.path else []
-    cfg = XfConfig(
-        k=args.k,
-        attn_sharpness=args.sharpness,
-        gate_constant=args.gate_constant,
-    )
+    cfg = XfConfig(k=args.k)
     labels = run_decoder(e, v, path, cfg)
     if args.dump_weights:
         save_weights(export_weights(e, cfg), args.dump_weights)
@@ -170,9 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a vector back into tree JSON")
     p.add_argument("--embedding", required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--max-depth", type=int, default=64)
-    p.add_argument("--max-nodes", type=int, default=4096)
+    p.add_argument("--max-depth", type=int, default=DecodeConfig.max_depth)
+    p.add_argument("--max-nodes", type=int, default=DecodeConfig.max_nodes)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_decode)
 
@@ -188,9 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--path", default="", help="attribute names, comma or space separated")
-    p.add_argument("--k", type=int, default=64)
-    p.add_argument("--sharpness", type=float, default=100.0)
-    p.add_argument("--gate-constant", type=float, default=1e4)
+    p.add_argument("--k", type=int, default=XfConfig.k)
     p.add_argument("--dump-weights", metavar="DIR", help="write dense block tensors and a manifest")
     p.set_defaults(func=cmd_transformer_query)
 

@@ -1,7 +1,7 @@
 """Recovering trees from embedding vectors.
 
 Token probes are inner products against the token matrix. A node is accepted
-when its best probe clears the threshold. Its child slots are probed all at
+when its best probe clears THRESHOLD. Its child slots are probed all at
 once, through the embedding's child_probes at the root and its
 grandchild_probes below, and the slots that pass are entered in schema
 attribute order, depth first. Undoing a node's attribute rotation with the
@@ -24,13 +24,12 @@ from .vectors import BTVector, best_token
 
 @dataclass(frozen=True)
 class DecodeConfig:
-    """Acceptance threshold and traversal budgets.
+    """Traversal budgets.
 
-    The budgets guard against malformed or adversarial vectors whose noise
-    keeps clearing the threshold; a well-formed vector never approaches them.
+    They guard against malformed or adversarial vectors whose noise keeps
+    clearing THRESHOLD; a well-formed vector never approaches them.
     """
 
-    threshold: float = 0.5
     max_depth: int = 64
     max_nodes: int = 4096
 
@@ -49,13 +48,13 @@ class DecodeStats:
     max_depth: int = 0
 
 
-def decode_token(e: Embedding, v: BTVector | np.ndarray, threshold: float = 0.5) -> int | None:
-    """Best token index if its probe clears the threshold, else None.
+def decode_token(e: Embedding, v: BTVector | np.ndarray) -> int | None:
+    """Best token index if its probe clears THRESHOLD, else None.
 
     A BTVector is checked against e first; a bare array is taken as is.
     """
     data = e.check(v) if isinstance(v, BTVector) else np.asarray(v)
-    return best_token(e.token_vectors @ data, threshold)
+    return best_token(e.token_vectors @ data)
 
 
 def decode(e: Embedding, v: BTVector, config: DecodeConfig = DecodeConfig()) -> Tree | None:
@@ -83,7 +82,7 @@ def decode_with_stats(
     def probe(scores: np.ndarray) -> int | None:
         stats.visits += 1
         stats.probes += n_tokens
-        return best_token(scores, config.threshold)
+        return best_token(scores)
 
     def accept(depth: int) -> None:
         if depth > config.max_depth:

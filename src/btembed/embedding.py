@@ -186,6 +186,16 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
     return e.wrap(tree.fold(enc))
 
 
+def chain_tree(e: Embedding, tokens: Sequence[int | str]) -> Tree:
+    """A non-empty token sequence as a tree: each token's next child is the token after it."""
+    nxt = e.schema.attribute_index(NEXT)
+    *rest, last = [e.schema.token_index(t) for t in tokens]
+    node = Tree(last)
+    for t in reversed(rest):
+        node = Tree.make(t, {nxt: node})
+    return node
+
+
 def cardinality_estimate(v: BTVector) -> int:
     """Nearest integer to the squared norm, the node count in expectation."""
     return int(np.rint(v.data @ v.data))
@@ -212,14 +222,7 @@ def encode_list(e: Embedding, tokens: Sequence[int | str]) -> BTVector:
     """Embed a non-empty token sequence as a chain along the next attribute."""
     if len(tokens) == 0:
         raise ValueError("encode_list needs a non-empty sequence")
-    nxt = e.schema.attribute_index(NEXT)
-    *rest, last = [e.schema.token_index(t) for t in tokens]
-    acc = e.token_vectors[last]
-    if rest:
-        acc = e.token_vectors[rest.pop()] + e.leaf_image(nxt, last)
-    for t in reversed(rest):
-        acc = e.token_vectors[t] + e.attribute_matrices[nxt] @ acc
-    return e.wrap(acc)
+    return bt_encode(e, chain_tree(e, tokens))
 
 
 def push(e: Embedding, v: BTVector, token: int | str) -> BTVector:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import decode
-from .embedding import Embedding, bt_encode, encode_list, make_embedding
+from .embedding import Embedding, bt_encode, chain_tree, encode_list, make_embedding
 from .exceptions import (
     BudgetExceededError,
     InvalidSpecError,
@@ -133,15 +133,6 @@ def random_tree(size: int, n_labels: int, n_attributes: int, rng: np.random.Gene
     for i in reversed(range(len(labels))):
         trees[i] = Tree.make(labels[i], {a: trees[j] for a, j in children[i].items()})
     return trees[0]
-
-
-def chain_tree(e: Embedding, tokens: list[int]) -> Tree:
-    """The tree a decoded token chain should equal."""
-    node = Tree(tokens[-1])
-    nxt = e.schema.attribute_index(NEXT)
-    for t in reversed(tokens[:-1]):
-        node = Tree.make(t, {nxt: node})
-    return node
 
 
 def list_roundtrip_trial(e: Embedding, length: int, rng: np.random.Generator) -> bool:

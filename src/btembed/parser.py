@@ -2,7 +2,7 @@
 
 The engine never sees token names, trees, or schemas, only slot vectors,
 compiled rules, the token probe matrix and the argument attribute matrices.
-Each slot's head label is read once, by the decoder's threshold probe, when
+Each slot's head label is read once, by the decoder's THRESHOLD probe, when
 the slot is created; a window matches a rule when its head labels spell the
 rule's pattern, and a replacement is a sum of matrix-vector products. A slot
 that is still a lone token vector is a leaf, and its product is the
@@ -59,8 +59,8 @@ class ParseState:
 
     @classmethod
     def start(cls, slots: list[np.ndarray], ruleset: RuleSet) -> "ParseState":
-        """Label each input slot by its best token probe above 0.5 and mark the leaves."""
-        heads = [best_token(ruleset.head_probes @ s, 0.5) for s in slots]
+        """Label each input slot by its best token probe above THRESHOLD and mark the leaves."""
+        heads = [best_token(ruleset.head_probes @ s) for s in slots]
         leaves = [
             h if h is not None and np.array_equal(s, ruleset.head_probes[h]) else None
             for s, h in zip(slots, heads)
@@ -78,7 +78,7 @@ def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -
 
     The new slot is the replacement token plus each consumed slot bound under
     its argument attribute, so the parse tree builds up inside the vector.
-    The new slot's head label is its best token probe above 0.5, read once, here.
+    The new slot's head label is its best token probe above THRESHOLD, read once, here.
     """
     m = len(rule.pattern)
     new = rule.replacement.copy()
@@ -89,7 +89,7 @@ def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -
         else:
             new += ruleset.leaf_images(k, leaf)
     state.slots[j : j + m] = [new]
-    state.heads[j : j + m] = [best_token(ruleset.head_probes @ new, 0.5)]
+    state.heads[j : j + m] = [best_token(ruleset.head_probes @ new)]
     state.leaves[j : j + m] = [None]
     state.steps += 1
 

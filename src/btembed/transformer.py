@@ -33,7 +33,7 @@ import numpy as np
 from .decoder import decode_token
 from .embedding import Embedding
 from .exceptions import PathTooLongError
-from .vectors import BTVector
+from .vectors import THRESHOLD, BTVector
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,6 @@ class XfConfig:
     k: int = 64
     attn_sharpness: float = 100.0
     gate_constant: float = 1e4
-
-
-def _cyclic_shift(k: int) -> np.ndarray:
-    """The cyclic shift Z e_i = e_(i+1), indices mod k."""
-    return np.roll(np.eye(k), 1, axis=0)
 
 
 @dataclass(frozen=True)
@@ -85,8 +80,8 @@ def init_state(e: Embedding, v: BTVector, path: Sequence[int | str], k: int) -> 
 
 def attention_matrix(pos: np.ndarray, cfg: XfConfig) -> np.ndarray:
     """Softmax weights over j < i for the codes in pos; row 1 is identically zero by definition."""
-    n, k = pos.shape
-    queries = pos @ _cyclic_shift(k)  # row i holds (Z^-1 p_i)^T
+    n = pos.shape[0]
+    queries = np.roll(pos, -1, axis=1)  # row i holds (Z^-1 p_i)^T = p_i^T Z
     logits = cfg.attn_sharpness * (queries @ pos.T)
     mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
     weights = np.zeros((n, n))
@@ -110,9 +105,9 @@ def attention_step(state: SeqState, cfg: XfConfig) -> SeqState:
 def ffn1(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
     """Gate on the path head and advance the working vector into w.
 
-    y_j = C(<attr_j, r> - 1/2) saturates each gate; the gated relu pair passes
-    M_j^T v - v only where the head matches, and the trailing relu pair
-    cancels the residual w exactly, so w ends as f1.
+    y_j = C(<attr_j, r> - THRESHOLD) saturates each gate; the gated relu pair
+    passes M_j^T v - v only where the head matches, and the trailing relu
+    pair cancels the residual w exactly, so w ends as f1.
 
     s = M_j^T v_i is computed only for the (slot i, attribute j) pairs whose
     term relu(y + s - v) - relu(y) can be nonzero. M_j is orthogonal, so every
@@ -125,7 +120,7 @@ def ffn1(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
     """
     c = cfg.gate_constant
     attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
-    gates = c * (state.r @ attr_rows.T - 0.5)  # slots x attributes
+    gates = c * (state.r @ attr_rows.T - THRESHOLD)  # slots x attributes
     f1 = np.maximum(state.v, 0.0) - np.maximum(-state.v, 0.0)
     bound = 3.0 * np.linalg.norm(state.v, axis=1, keepdims=True)
     live = (gates > -bound) & ((gates < bound) | (bound >= np.spacing(gates) / 4.0))
@@ -141,12 +136,12 @@ def ffn1(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
 def ffn2(state: SeqState, e: Embedding, cfg: XfConfig) -> SeqState:
     """Read w's token into the output channel and clear v.
 
-    z = C(E w - 1/2); relu(z+1) - relu(z) is a saturated indicator per token,
-    so t gains exactly the decoded token vector. The relu pair on v cancels
-    the residual, leaving v zero for the next block's delivery.
+    z = C(E w - THRESHOLD); relu(z+1) - relu(z) is a saturated indicator per
+    token, so t gains exactly the decoded token vector. The relu pair on v
+    cancels the residual, leaving v zero for the next block's delivery.
     """
     c = cfg.gate_constant
-    z = c * (state.w @ e.token_vectors.T - 0.5)  # slots x tokens
+    z = c * (state.w @ e.token_vectors.T - THRESHOLD)  # slots x tokens
     indicator = np.maximum(z + 1.0, 0.0) - np.maximum(z, 0.0)
     new_t = state.t + indicator @ e.token_vectors
     new_v = state.v - np.maximum(state.v, 0.0) + np.maximum(-state.v, 0.0)
@@ -180,8 +175,9 @@ def export_weights(e: Embedding, cfg: XfConfig) -> dict[str, np.ndarray]:
 
     Channel layout along the width: [p | v | w | r | t]. The attention value
     map and both feed-forward affine pairs reproduce the structured evaluator
-    bit for bit; x + out @ relu(lin @ x + bias) applies an FFN. Dense size
-    grows with d^2, so exporting is meant for small dimensions.
+    bit for bit; x + out @ relu(lin @ x + bias) applies an FFN. Each tensor is
+    dense over the slot width k + 4d (Wv is its square), so exporting is meant
+    for small k and d.
     """
     k, d = cfg.k, e.dim
     n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
@@ -191,7 +187,7 @@ def export_weights(e: Embedding, cfg: XfConfig) -> dict[str, np.ndarray]:
     attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
 
     wq = np.zeros((k, s))
-    wq[:, pv : pv + k] = _cyclic_shift(k).T
+    wq[:, pv : pv + k] = np.roll(np.eye(k), -1, axis=0)  # Z^-1 = Z^T, Z the cyclic shift
     wk = np.zeros((k, s))
     wk[:, pv : pv + k] = np.eye(k)
     wval = np.zeros((s, s))
@@ -209,10 +205,10 @@ def export_weights(e: Embedding, cfg: XfConfig) -> dict[str, np.ndarray]:
     for j in range(n_attrs):
         f1_lin[row : row + d, vv : vv + d] = e.attribute_matrices[j].T - np.eye(d)
         f1_lin[row : row + d, rv : rv + d] = c * attr_rows[j]
-        f1_bias[row : row + d] = -c / 2.0
+        f1_bias[row : row + d] = -c * THRESHOLD
         f1_out[wv : wv + d, row : row + d] = np.eye(d)
         f1_lin[row + d, rv : rv + d] = c * attr_rows[j]
-        f1_bias[row + d] = -c / 2.0
+        f1_bias[row + d] = -c * THRESHOLD
         f1_out[wv : wv + d, row + d] = -1.0
         row += d + 1
     f1_lin[row : row + d, wv : wv + d] = np.eye(d)
@@ -225,9 +221,9 @@ def export_weights(e: Embedding, cfg: XfConfig) -> dict[str, np.ndarray]:
     f2_bias = np.zeros(h2)
     f2_out = np.zeros((s, h2))
     f2_lin[0:n_tokens, wv : wv + d] = c * e.token_vectors
-    f2_bias[0:n_tokens] = -c / 2.0 + 1.0
+    f2_bias[0:n_tokens] = -c * THRESHOLD + 1.0
     f2_lin[n_tokens : 2 * n_tokens, wv : wv + d] = c * e.token_vectors
-    f2_bias[n_tokens : 2 * n_tokens] = -c / 2.0
+    f2_bias[n_tokens : 2 * n_tokens] = -c * THRESHOLD
     f2_out[tv : tv + d, 0:n_tokens] = e.token_vectors.T
     f2_out[tv : tv + d, n_tokens : 2 * n_tokens] = -e.token_vectors.T
     f2_lin[2 * n_tokens : 2 * n_tokens + d, vv : vv + d] = np.eye(d)

@@ -17,10 +17,15 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def best_token(scores: np.ndarray, threshold: float) -> int | None:
-    """Index of the highest probe score, lowest on ties, if strictly above threshold, else None."""
+# Every decision splits here: the decoder's node probes, the parser's head
+# labels and the transformer's gates and readout.
+THRESHOLD = 0.5
+
+
+def best_token(scores: np.ndarray) -> int | None:
+    """Index of the highest probe score, lowest on ties, if strictly above THRESHOLD, else None."""
     best = int(np.argmax(scores))
-    return best if scores[best] > threshold else None
+    return best if scores[best] > THRESHOLD else None
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import pytest
 
 from btembed import (
     BTVector,
+    Embedding,
     Schema,
     Tree,
     XfConfig,
@@ -23,11 +24,13 @@ from btembed import (
     balanced_parens_schema,
     export_weights,
     load_embedding,
+    save_embedding,
     save_grammar,
     save_vector,
     symbolic_parse,
 )
 from btembed.cli import main
+from btembed.embedding import embedding_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +323,12 @@ class TestTransformerQuery:
         written = np.fromfile(wdir / "Wq.bin", dtype="<f8").reshape(expected.shape)
         np.testing.assert_array_equal(written, expected)
 
+    def test_large_k_needs_no_k_by_k_matrix(self, ws, capsys):
+        rc = main(["transformer-query", "--embedding", str(ws["emb"]),
+                   "--vector", str(ws["vec"]), "--path", "arg1", "--k", "1000000"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == ["t1", "t3"]
+
     def test_dumped_weights_do_not_depend_on_the_path(self, ws, tmp_path):
         # positions come from the prompt, so one set of tensors serves every
         # path that fits in k slots
@@ -450,6 +459,16 @@ class TestUsage:
             main(["embed", "--dim", "64"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("decode", "--threshold"), ("transformer-query", "--sharpness"),
+         ("transformer-query", "--gate-constant")],
+    )
+    def test_removed_flags_are_unknown(self, ws, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--embedding", str(ws["emb"]), "--vector", str(ws["vec"]), flag, "1"])
+        assert exc.value.code == 2
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["decode", "--embedding", str(tmp_path / "none.bte"),
                    "--vector", str(tmp_path / "none.btv")])
@@ -464,3 +483,31 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("btembed ")
+
+    def test_json_writer_depth_limit(self, tmp_path):
+        # basis-vector tokens and the cyclic shift as M_next decode an exact
+        # n-node chain; json.dumps then nests two calls per node, and through
+        # `python -m btembed` 495 nodes write while 496 exceed the default
+        # recursion limit of 1,000
+        d = 512
+        schema = Schema(("a", "next"), ("next",))
+        e = Embedding(schema=schema, dim=d, seed=0, token_vectors=np.eye(2, d),
+                      attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None],
+                      fingerprint=embedding_fingerprint(schema, d, 0))
+        save_embedding(e, tmp_path / "chain.bte")
+        for n, rc in ((495, 0), (496, 2)):
+            save_vector(e.wrap((np.arange(d) < n).astype(float)), tmp_path / "chain.btv")
+            proc = subprocess.run(
+                [sys.executable, "-m", "btembed", "decode", "--embedding", str(tmp_path / "chain.bte"),
+                 "--vector", str(tmp_path / "chain.btv"), "--max-depth", "5000",
+                 "-o", str(tmp_path / f"{n}.json")],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == rc
+            if rc:
+                assert proc.stderr.startswith("error: maximum recursion depth exceeded")
+                assert proc.stderr.count("\n") == 1
+            else:
+                assert proc.stderr == ""
+                # pytest's own frames leave json.loads too little depth to read it back
+                assert (tmp_path / f"{n}.json").read_text().count('"label": "a"') == n

@@ -7,7 +7,10 @@ from btembed import (
     BudgetExceededError,
     DecodeConfig,
     DecodeStats,
+    THRESHOLD,
     Embedding,
+    ParseState,
+    RuleSet,
     Schema,
     SchemaMismatchError,
     Tree,
@@ -21,10 +24,6 @@ from btembed import (
     random_tree,
     save_embedding,
 )
-
-
-def path_set(tree: Tree | None):
-    return set() if tree is None else set(tree.paths())
 
 
 class TestDecodeToken:
@@ -60,9 +59,20 @@ class TestDecodeToken:
 
     def test_threshold_is_strict(self):
         e = self.exact_embedding()
-        v = np.array([0.5, 0.0])  # probe value is exactly the threshold
-        assert decode_token(e, v, threshold=0.5) is None
-        assert decode_token(e, v, threshold=0.49) == 0
+        assert decode_token(e, np.array([THRESHOLD, 0.0])) is None
+        assert decode_token(e, np.array([np.nextafter(THRESHOLD, 1.0), 0.0])) == 0
+
+    def test_every_probe_splits_at_the_one_threshold(self):
+        # the decoder's token and node probes and the parser's head labels
+        # all reject a best score of exactly THRESHOLD and take the next float up
+        e = self.exact_embedding()
+        ruleset = RuleSet((), e.token_vectors, (), e.leaf_image, e.fingerprint)
+        at, above = np.array([THRESHOLD, 0.0]), np.array([np.nextafter(THRESHOLD, 1.0), 0.0])
+        assert decode_token(e, e.wrap(at)) is None
+        assert decode_token(e, e.wrap(above)) == 0
+        assert decode(e, e.wrap(at)) is None
+        assert decode(e, e.wrap(above)) == Tree(0)
+        assert ParseState.start([at, above], ruleset).heads == [None, 0]
 
     def test_tie_breaks_to_lowest_index(self):
         # duplicate token rows force an exact tie
@@ -85,7 +95,7 @@ def rotate_then_probe(e: Embedding, v, config: DecodeConfig) -> tuple[Tree | Non
         stats.probes += e.schema.n_tokens
         scores = e.token_vectors @ u
         label = int(np.argmax(scores))
-        if not scores[label] > config.threshold:
+        if not scores[label] > THRESHOLD:
             return None
         if depth > config.max_depth:
             raise BudgetExceededError(f"decode exceeded max_depth {config.max_depth}")
@@ -115,19 +125,20 @@ class TestProbeBeforeRotate:
     """decode_with_stats agrees with the rotate-then-probe reference exactly."""
 
     def test_random_trees(self, emb_small):
+        # at d = 192 most trees past size 8 decode wrong, as noise clears
+        # THRESHOLD in empty slots; those decodes must agree too
+        noisy = make_embedding(make_sweep_schema(10, 2), 192, 7)
         rng = np.random.default_rng(57)
+        wrong = 0
         for _ in range(40):
-            # sizes past 8 include trees that decode wrong; those must agree too
             tree = random_tree(int(rng.integers(1, 17)), 10, 2, rng)
-            v = bt_encode(emb_small, tree)
-            for cfg in (
-                DecodeConfig(),
-                DecodeConfig(threshold=0.3),
-                DecodeConfig(max_nodes=5),
-                DecodeConfig(max_depth=2),
-            ):
-                want = outcome(rotate_then_probe, emb_small, v, cfg)
-                assert outcome(decode_with_stats, emb_small, v, cfg) == want
+            for e in (emb_small, noisy):
+                v = bt_encode(e, tree)
+                for cfg in (DecodeConfig(), DecodeConfig(max_nodes=5), DecodeConfig(max_depth=2)):
+                    want = outcome(rotate_then_probe, e, v, cfg)
+                    assert outcome(decode_with_stats, e, v, cfg) == want
+            wrong += decode(noisy, v) != tree  # v is noisy's, from the last pass
+        assert wrong >= 20
 
     def test_noise_that_trips_the_budgets(self, emb_small):
         rng = np.random.default_rng(58)
@@ -232,14 +243,6 @@ class TestDecode:
         v = bt_encode(emb_small, tree).data
         child = emb_small.attribute_matrices[0].T @ v
         assert decode(emb_small, emb_small.wrap(child)) == tree.child(0)
-
-    def test_threshold_nesting(self, emb_small):
-        rng = np.random.default_rng(52)
-        tree = random_tree(8, 10, 2, rng)
-        v = bt_encode(emb_small, tree)
-        cfgs = [DecodeConfig(threshold=t) for t in (0.3, 0.5, 0.7)]
-        loose, mid, tight = (path_set(decode(emb_small, v, cfg)) for cfg in cfgs)
-        assert loose >= mid >= tight
 
 
 class TestBudgets:

@@ -35,7 +35,7 @@ from btembed import (
     save_embedding,
     zero_vector,
 )
-from btembed.embedding import Embedding, embedding_fingerprint
+from btembed.embedding import Embedding, chain_tree, embedding_fingerprint
 
 
 def reference_encode(e, tree: Tree) -> np.ndarray:
@@ -243,6 +243,12 @@ class TestLists:
             tokens = list(rng.integers(0, 10, size=rng.integers(1, 9)))
             v = encode_list(emb_small, tokens)
             np.testing.assert_allclose(v.data, reference_list(emb_small, tokens), atol=1e-10)
+
+    def test_is_bt_encode_of_its_chain(self, emb_small):
+        tokens = ["t3", 1, "t4", 1]
+        tree = chain_tree(emb_small, tokens)
+        assert tree == chain_tree(emb_small, [3, 1, 4, 1])
+        np.testing.assert_array_equal(encode_list(emb_small, tokens).data, bt_encode(emb_small, tree).data)
 
     def test_empty_list_rejected(self, emb_small):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from btembed import (
+    THRESHOLD,
     PathTooLongError,
     Tree,
     XfConfig,
@@ -307,6 +308,12 @@ class TestRunDecoder:
         with pytest.raises(KeyError):
             run_decoder(e, bt_encode(e, tree_small()), path)
 
+    def test_large_k_builds_no_k_by_k_matrix(self, emb_paths):
+        # attention shifts the n x k codes instead of multiplying by Z
+        e = emb_paths
+        v = bt_encode(e, tree_small())
+        assert run_decoder(e, v, [0], XfConfig(k=10**6)) == [3, 5]
+
     def test_gate_saturation_margin(self, emb_paths):
         # doubling both saturation constants must not move any label
         e = emb_paths
@@ -323,7 +330,7 @@ def ffn1_all_pairs(state, e, cfg):
     """Reference ffn1: every slot through every attribute matrix, no pair skipped."""
     c = cfg.gate_constant
     attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
-    gates = c * (state.r @ attr_rows.T - 0.5)
+    gates = c * (state.r @ attr_rows.T - THRESHOLD)
     f1 = np.maximum(state.v, 0.0) - np.maximum(-state.v, 0.0)
     for j in range(e.schema.n_attributes):
         stepped = state.v @ e.attribute_matrices[j]
@@ -390,7 +397,7 @@ class TestLiveSlotFfn1:
         if case == "unsaturated":
             # no pair may be skippable, or the case tests nothing
             attr_rows = e.token_vectors[list(e.schema.attribute_token_indices)]
-            gates = cfg.gate_constant * (state.r @ attr_rows.T - 0.5)
+            gates = cfg.gate_constant * (state.r @ attr_rows.T - THRESHOLD)
             assert np.all(np.abs(gates) < 3.0 * np.linalg.norm(state.v, axis=1, keepdims=True))
         if case in ("tiny", "zero"):
             # every pair is shut or flat, so no product is taken and w is v
