@@ -15,14 +15,7 @@ from pathlib import Path
 from . import __version__
 from .decoder import DecodeConfig, decode
 from .embedding import bt_encode, make_embedding
-from .exceptions import (
-    BTError,
-    BudgetExceededError,
-    NoParseError,
-    PathTooLongError,
-    SchemaMismatchError,
-    StepBudgetExceededError,
-)
+from .exceptions import BTError, BudgetExceededError, NoParseError, SchemaMismatchError
 from .grammar import compile_rules, load_grammar, parse
 from .harness import (
     SEPARATION_CODE,
@@ -218,11 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_SCHEMA_MISMATCH, str(err))
     except NoParseError as err:
         return _fail(EXIT_NO_PARSE, str(err))
-    except (
-        BudgetExceededError,
-        StepBudgetExceededError,
-        PathTooLongError,
-    ) as err:
+    except BudgetExceededError as err:
         return _fail(EXIT_BUDGET, str(err))
     except (BTError, OSError, KeyError, ValueError, RecursionError) as err:
         return _fail(EXIT_USAGE, str(err))

@@ -94,17 +94,20 @@ class Embedding:
             self._grandchild_probes[attr] = table
         return table
 
-    def leaf_image(self, attr: int, token: int) -> np.ndarray:
-        """attribute_matrices[attr] @ token_vectors[token]: a leaf's term under attr.
+    def bind(self, attr: int, x: np.ndarray, label: int) -> np.ndarray:
+        """attribute_matrices[attr] @ x: x's term under attr, for a child labelled label.
 
-        Computed on first use by the same product an edge of bt_encode runs,
-        so its bits are that product's, and kept read-only. At most
-        n_attributes * n_tokens images are ever held.
+        When x is exactly token label's vector the term is read from a memo,
+        filled on first use by that same product, so its bits are the
+        product's; the memo is read-only and holds at most
+        n_attributes * n_tokens images.
         """
-        image = self._leaf_images.get((attr, token))
+        if not np.array_equal(x, self.token_vectors[label]):
+            return self.attribute_matrices[attr] @ x
+        image = self._leaf_images.get((attr, label))
         if image is None:
-            image = read_only(self.attribute_matrices[attr] @ self.token_vectors[token])
-            self._leaf_images[attr, token] = image
+            image = read_only(self.attribute_matrices[attr] @ self.token_vectors[label])
+            self._leaf_images[attr, label] = image
         return image
 
     @cached_property
@@ -165,9 +168,9 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
 
     enc(node) = token(label) + sum over children of M_attr @ enc(child),
     which equals the per-node path-product sum without ever materializing a
-    matrix chain; cost is one matrix-vector product per edge into an internal
-    node, while an edge into a leaf reads the embedding's memoized leaf image.
-    The fold is iterative, so depth is bounded only by memory.
+    matrix chain. Each edge's term is e.bind, one matrix-vector product, or
+    the memoized image when the child is a leaf. The fold is iterative, so
+    depth is bounded only by memory.
     """
 
     def enc(node: Tree, subs: list[np.ndarray]) -> np.ndarray:
@@ -177,10 +180,7 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
         for (attr, child), sub in zip(node.children, subs):
             if attr >= e.schema.n_attributes:
                 raise ValueError(f"attribute {attr} outside schema")
-            if child.children:
-                acc += e.attribute_matrices[attr] @ sub
-            else:
-                acc += e.leaf_image(attr, child.label)
+            acc += e.bind(attr, sub, child.label)
         return acc
 
     return e.wrap(tree.fold(enc))
@@ -226,6 +226,11 @@ def encode_list(e: Embedding, tokens: Sequence[int | str]) -> BTVector:
 
 
 def push(e: Embedding, v: BTVector, token: int | str) -> BTVector:
-    """Prepend a token to a chain: token vector plus the shifted payload."""
+    """Prepend a token to a chain: token vector plus the shifted payload.
+
+    An all-zero payload, such as zero_vector's, shifts to itself, so its
+    d×d product is skipped.
+    """
     data = e.check(v)
-    return e.wrap(e.token_vector(token) + e.attribute_matrix(NEXT) @ data)
+    tail = e.attribute_matrix(NEXT) @ data if data.any() else data
+    return e.wrap(e.token_vector(token) + tail)

@@ -26,10 +26,10 @@ class SchemaMismatchError(BTError):
 
 
 class BudgetExceededError(BTError):
-    """Decoding exceeded its depth or node budget, the vector is likely malformed."""
+    """A budget was hit: the decoder's depth or node budget, or a subclass's."""
 
 
-class PathTooLongError(BTError):
+class PathTooLongError(BudgetExceededError):
     """Query path needs more slots than the position-code dimension supports."""
 
 
@@ -41,7 +41,7 @@ class NoParseError(BTError):
     """Rewriting halted with more than one slot and no applicable rule."""
 
 
-class StepBudgetExceededError(BTError):
+class StepBudgetExceededError(BudgetExceededError):
     """Rewriting did not terminate within the step budget."""
 
 

@@ -28,7 +28,7 @@ def arg_attributes(schema: Schema) -> list[str]:
 
 
 def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
-    """Look up each pattern's token indices; the probe and binding arrays are the embedding's own."""
+    """Look up each pattern's token indices; the probes and the binding are the embedding's own."""
     args = arg_attributes(e.schema)
     if not args:
         raise ArityExceededError("schema has no argument attributes")
@@ -45,15 +45,13 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
             Rule(
                 pattern=tuple(e.schema.token_index(t) for t in pattern),
                 replacement=e.token_vector(replacement),
-                name=f"{' '.join(pattern)} -> {replacement}",
             )
         )
     arg_indices = [e.schema.attribute_index(a) for a in args]
     return RuleSet(
         rules=tuple(rules),
         head_probes=e.token_vectors,
-        arg_matrices=tuple(e.attribute_matrices[a] for a in arg_indices),
-        leaf_images=lambda k, t: e.leaf_image(arg_indices[k], t),
+        bind=lambda k, slot, head: e.bind(arg_indices[k], slot, head),
         fingerprint=e.fingerprint,
     )
 

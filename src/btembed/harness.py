@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import decode
-from .embedding import Embedding, bt_encode, chain_tree, encode_list, make_embedding
-from .exceptions import (
-    BudgetExceededError,
-    InvalidSpecError,
-    NoParseError,
-    StepBudgetExceededError,
-)
+from .embedding import Embedding, bt_encode, chain_tree, make_embedding
+from .exceptions import BudgetExceededError, InvalidSpecError, NoParseError
 from .grammar import (
     MAX_BALANCED_LENGTH,
     balanced_parens_grammar,
@@ -135,26 +130,23 @@ def random_tree(size: int, n_labels: int, n_attributes: int, rng: np.random.Gene
     return trees[0]
 
 
+def _roundtrip(e: Embedding, tree: Tree) -> bool:
+    """Whether the tree decodes back from its own vector; a decode over budget is a miss."""
+    try:
+        return decode(e, bt_encode(e, tree)) == tree
+    except BudgetExceededError:
+        return False
+
+
 def list_roundtrip_trial(e: Embedding, length: int, rng: np.random.Generator) -> bool:
     n_labels = e.schema.n_tokens - e.schema.n_attributes
     tokens = [int(x) for x in rng.integers(n_labels, size=length)]
-    v = encode_list(e, tokens)
-    try:
-        decoded = decode(e, v)
-    except BudgetExceededError:
-        return False
-    return decoded == chain_tree(e, tokens)
+    return _roundtrip(e, chain_tree(e, tokens))
 
 
 def tree_roundtrip_trial(e: Embedding, size: int, rng: np.random.Generator) -> bool:
     n_labels = e.schema.n_tokens - e.schema.n_attributes
-    tree = random_tree(size, n_labels, e.schema.n_attributes, rng)
-    v = bt_encode(e, tree)
-    try:
-        decoded = decode(e, v)
-    except BudgetExceededError:
-        return False
-    return decoded == tree
+    return _roundtrip(e, random_tree(size, n_labels, e.schema.n_attributes, rng))
 
 
 def parse_roundtrip_trial(
@@ -166,7 +158,7 @@ def parse_roundtrip_trial(
     try:
         v = parse(e, word, ruleset)
         decoded = decode(e, v)
-    except (NoParseError, StepBudgetExceededError, BudgetExceededError):
+    except (NoParseError, BudgetExceededError):
         return False
     return reference is not None and decoded == reference
 

@@ -1,12 +1,11 @@
 """Rewriting engine over embedding-space slots.
 
 The engine never sees token names, trees, or schemas, only slot vectors,
-compiled rules, the token probe matrix and the argument attribute matrices.
-Each slot's head label is read once, by the decoder's THRESHOLD probe, when
-the slot is created; a window matches a rule when its head labels spell the
-rule's pattern, and a replacement is a sum of matrix-vector products. A slot
-that is still a lone token vector is a leaf, and its product is the
-embedding's memoized leaf image.
+compiled rules, the token probe matrix and the embedding's binding. Each
+slot's head label is read once, by the decoder's THRESHOLD probe, when the
+slot is created; a window matches a rule when its head labels spell the
+rule's pattern, and a replacement binds each window member under its
+argument attribute, the node formula of bt_encode.
 """
 
 from __future__ import annotations
@@ -26,46 +25,34 @@ class Rule:
 
     pattern: tuple[int, ...]
     replacement: np.ndarray
-    name: str = ""
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Compiled rules plus the embedding's token probes and argument matrices, shared, not copied.
+    """Compiled rules, the embedding's token probes, and its binding.
 
-    leaf_images(k, t) is arg_matrices[k] @ head_probes[t], read from the
-    embedding's memo.
+    bind(k, slot, head) is slot's term under the k-th argument attribute, for
+    a slot whose head label is head.
     """
 
     rules: tuple[Rule, ...]
     head_probes: np.ndarray
-    arg_matrices: tuple[np.ndarray, ...]
-    leaf_images: Callable[[int, int], np.ndarray]
+    bind: Callable[[int, np.ndarray, int], np.ndarray]
     fingerprint: str
 
 
 @dataclass
 class ParseState:
-    """Mutable slot list, each slot's head label, and a step counter.
-
-    leaves[i] is slot i's token while the slot is exactly that token's vector,
-    else None.
-    """
+    """Mutable slot list, each slot's head label, and a step counter."""
 
     slots: list[np.ndarray]
     heads: list[int | None]
-    leaves: list[int | None]
     steps: int = 0
 
     @classmethod
     def start(cls, slots: list[np.ndarray], ruleset: RuleSet) -> "ParseState":
-        """Label each input slot by its best token probe above THRESHOLD and mark the leaves."""
-        heads = [best_token(ruleset.head_probes @ s) for s in slots]
-        leaves = [
-            h if h is not None and np.array_equal(s, ruleset.head_probes[h]) else None
-            for s, h in zip(slots, heads)
-        ]
-        return cls(slots, heads, leaves)
+        """Label each input slot by its best token probe above THRESHOLD."""
+        return cls(slots, [best_token(ruleset.head_probes @ s) for s in slots])
 
 
 def match_window(rule: Rule, state: ParseState, j: int) -> bool:
@@ -83,14 +70,9 @@ def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -
     m = len(rule.pattern)
     new = rule.replacement.copy()
     for k in range(m):
-        leaf = state.leaves[j + k]
-        if leaf is None:
-            new += ruleset.arg_matrices[k] @ state.slots[j + k]
-        else:
-            new += ruleset.leaf_images(k, leaf)
+        new += ruleset.bind(k, state.slots[j + k], state.heads[j + k])
     state.slots[j : j + m] = [new]
     state.heads[j : j + m] = [best_token(ruleset.head_probes @ new)]
-    state.leaves[j : j + m] = [None]
     state.steps += 1
 
 

@@ -282,6 +282,14 @@ class TestTransformerQuery:
                    "--vector", str(ws["vec"])])
         assert rc == 3
 
+    def test_path_too_long_exits_6(self, ws, capsys):
+        # two steps need three slots, one more than k = 2 holds
+        rc = main(["transformer-query", "--embedding", str(ws["emb"]),
+                   "--vector", str(ws["vec"]), "--k", "2", "--path", "next,next"])
+        assert rc == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_dump_weights(self, tmp_path, capsys):
         schema = tmp_path / "s.json"
         emb = tmp_path / "e.bte"

@@ -66,7 +66,7 @@ class TestDecodeToken:
         # the decoder's token and node probes and the parser's head labels
         # all reject a best score of exactly THRESHOLD and take the next float up
         e = self.exact_embedding()
-        ruleset = RuleSet((), e.token_vectors, (), e.leaf_image, e.fingerprint)
+        ruleset = RuleSet((), e.token_vectors, e.bind, e.fingerprint)
         at, above = np.array([THRESHOLD, 0.0]), np.array([np.nextafter(THRESHOLD, 1.0), 0.0])
         assert decode_token(e, e.wrap(at)) is None
         assert decode_token(e, e.wrap(above)) == 0

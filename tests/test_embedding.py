@@ -254,6 +254,11 @@ class TestLists:
         with pytest.raises(ValueError):
             encode_list(emb_small, [])
 
+    def test_push_onto_zero_is_the_token_vector(self, emb_small):
+        v = push(emb_small, zero_vector(emb_small), "t3")
+        np.testing.assert_array_equal(v.data, emb_small.token_vector("t3"))
+        np.testing.assert_array_equal(v.data, encode_list(emb_small, ["t3"]).data)
+
     def test_push_fold_equals_encode_list(self, emb_small):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -279,8 +284,8 @@ class TestLeafImages:
         save_embedding(e, tmp_path / "e.bte")
         for emb in (e, load_embedding(tmp_path / "e.bte")):
             assert "_leaf_images" not in emb.__dict__
-            image = emb.leaf_image(1, 2)
-            assert emb.leaf_image(1, 2) is image
+            image = emb.bind(1, emb.token_vectors[2].copy(), 2)
+            assert emb.bind(1, emb.token_vectors[2], 2) is image
             assert list(emb._leaf_images) == [(1, 2)]
             np.testing.assert_array_equal(image, emb.attribute_matrices[1] @ emb.token_vectors[2])
             with pytest.raises(ValueError):

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import ast
 import itertools
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import btembed.parser
 from btembed import (
@@ -56,16 +59,23 @@ def balanced_words(length):
     return words
 
 
+@st.composite
+def balanced_word(draw, max_length):
+    """A non-empty balanced L/R word of even length up to max_length."""
+    length = 2 * draw(st.integers(1, max_length // 2))
+    word, height = [], 0
+    for i in range(length):
+        remaining = length - i
+        up = height == 0 or (height < remaining and draw(st.booleans()))
+        word.append("L" if up else "R")
+        height += 1 if up else -1
+    return word
+
+
 class TestCompiledRules:
     def test_pattern_is_token_indices(self, parens_ruleset):
         L, R, E = (SCHEMA.token_index(t) for t in ("L", "R", "E"))
         assert [r.pattern for r in parens_ruleset.rules] == [(L, R), (L, E, R), (E, E)]
-
-    def test_names(self, parens_ruleset):
-        assert parens_ruleset.rules[1].name == "L E R -> E"
-
-    def test_max_arity(self, parens_ruleset):
-        assert len(parens_ruleset.arg_matrices) == 3
 
     def test_replacement_is_token_vector(self, parens_embedding, parens_ruleset):
         np.testing.assert_array_equal(
@@ -73,10 +83,10 @@ class TestCompiledRules:
         )
 
     def test_matrices_are_the_embeddings_own(self, parens_embedding, parens_ruleset):
-        mats = parens_embedding.attribute_matrices
-        for m in parens_ruleset.arg_matrices:
-            assert np.shares_memory(m, mats)
-            assert not m.flags.owndata
+        # head_probes is the only array the rule set holds, and it is the embedding's
+        arrays = [f.name for f in fields(parens_ruleset)
+                  if isinstance(getattr(parens_ruleset, f.name), np.ndarray)]
+        assert arrays == ["head_probes"]
         probes = parens_ruleset.head_probes
         assert np.shares_memory(probes, parens_embedding.token_vectors)
         assert not probes.flags.owndata
@@ -126,11 +136,9 @@ class TestWindows:
     def test_apply_replacement_builds_node(self, parens_embedding, parens_ruleset):
         e = parens_embedding
         state = state_of(e, parens_ruleset, ["L", "R"])
-        assert state.leaves == [SCHEMA.token_index("L"), SCHEMA.token_index("R")]
         apply_replacement(parens_ruleset.rules[0], state, 0, parens_ruleset)
         assert len(state.slots) == 1
         assert state.heads == [SCHEMA.token_index("E")]
-        assert state.leaves == [None]
         assert state.steps == 1
         expected = bt_encode(
             e,
@@ -146,11 +154,18 @@ class TestWindows:
         np.testing.assert_array_equal(state.slots[0], expected.data)
 
     def test_only_exact_token_vectors_are_leaves(self, parens_embedding, parens_ruleset):
-        nudged = tok(parens_embedding, "L")
+        e = parens_embedding
+        L, arg1 = SCHEMA.token_index("L"), SCHEMA.attribute_index("arg1")
+        nudged = tok(e, "L")
         nudged[0] += 1e-9
-        state = ParseState.start([nudged, tok(parens_embedding, "R")], parens_ruleset)
-        assert state.heads == [SCHEMA.token_index("L"), SCHEMA.token_index("R")]
-        assert state.leaves == [None, SCHEMA.token_index("R")]
+        state = ParseState.start([nudged, tok(e, "R")], parens_ruleset)
+        assert state.heads == [L, SCHEMA.token_index("R")]
+        memo = parens_ruleset.bind(0, tok(e, "L"), L)
+        assert parens_ruleset.bind(0, tok(e, "L"), L) is memo
+        # a slot 1e-9 off its token's vector gets a fresh product, not the memo
+        fresh = parens_ruleset.bind(0, nudged, L)
+        assert fresh is not memo and fresh.flags.writeable
+        np.testing.assert_array_equal(fresh, e.attribute_matrices[arg1] @ nudged)
 
 
 class TestParse:
@@ -224,6 +239,20 @@ class TestParse:
             word = random_balanced(40, trial_rng(7, 3, 1000, 40, t))
             v = parse(e, word, ruleset)
             np.testing.assert_array_equal(v.data, bt_encode(e, self.sym(word)).data, err_msg=str(t))
+
+    @settings(
+        derandomize=True,
+        database=None,
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(word=balanced_word(20))
+    def test_parse_is_bt_encode_of_the_oracle_tree(self, parens_embedding, parens_ruleset, word):
+        # a reduction binds by the same rule as bt_encode, so the vectors match bit for bit
+        v = parse(parens_embedding, word, parens_ruleset)
+        expected = bt_encode(parens_embedding, self.sym(word))
+        np.testing.assert_array_equal(v.data, expected.data, err_msg=str(word))
 
     def test_unbalanced_raises(self, parens_embedding, parens_ruleset):
         with pytest.raises(NoParseError):
