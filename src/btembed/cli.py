@@ -1,8 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 usage or input problems, 3 schema mismatch,
-4 decode came back absent, 5 no parse, 6 a budget hit: the decoder's node or
-depth budget, the parser's step budget, or a path longer than k - 1.
+Exit codes: 0 success, 2 usage or input problems, an allocation too large
+for memory among them, 3 schema mismatch, 4 decode came back absent, 5 no
+parse, 6 a budget hit: the decoder's node or depth budget, the parser's step
+budget, or a path longer than k - 1.
 """
 
 from __future__ import annotations
@@ -213,8 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_NO_PARSE, str(err))
     except BudgetExceededError as err:
         return _fail(EXIT_BUDGET, str(err))
-    except (BTError, OSError, KeyError, ValueError, RecursionError) as err:
-        return _fail(EXIT_USAGE, str(err))
+    except (BTError, OSError, KeyError, ValueError, RecursionError, MemoryError) as err:
+        return _fail(EXIT_USAGE, str(err) or type(err).__name__)
 
 
 def main_entry() -> None:

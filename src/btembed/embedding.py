@@ -94,21 +94,23 @@ class Embedding:
             self._grandchild_probes[attr] = table
         return table
 
-    def bind(self, attr: int, x: np.ndarray, label: int) -> np.ndarray:
-        """attribute_matrices[attr] @ x: x's term under attr, for a child labelled label.
+    def bind(self, attr: int, x: np.ndarray) -> np.ndarray:
+        """attribute_matrices[attr] @ x, x's term under attr; the result is read, never written.
 
-        When x is exactly token label's vector the term is read from a memo,
-        filled on first use by that same product, so its bits are the
-        product's; the memo is read-only and holds at most
-        n_attributes * n_tokens images.
+        An all-zero x is returned as is, since M 0 = 0. x exactly equal to a
+        token's vector (matched on its first entry, then whole) reads the
+        token's image from a read-only memo, filled on first use by that same
+        product, so its bits are the product's.
         """
-        if not np.array_equal(x, self.token_vectors[label]):
-            return self.attribute_matrices[attr] @ x
-        image = self._leaf_images.get((attr, label))
-        if image is None:
-            image = read_only(self.attribute_matrices[attr] @ self.token_vectors[label])
-            self._leaf_images[attr, label] = image
-        return image
+        if not x.any():
+            return x
+        for label in np.flatnonzero(self.token_vectors[:, 0] == x[0]):
+            if np.array_equal(x, self.token_vectors[label]):
+                key = (attr, int(label))
+                if key not in self._leaf_images:
+                    self._leaf_images[key] = read_only(self.attribute_matrices[attr] @ self.token_vectors[label])
+                return self._leaf_images[key]
+        return self.attribute_matrices[attr] @ x
 
     @cached_property
     def _grandchild_probes(self) -> dict[int, np.ndarray]:
@@ -169,18 +171,18 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
     enc(node) = token(label) + sum over children of M_attr @ enc(child),
     which equals the per-node path-product sum without ever materializing a
     matrix chain. Each edge's term is e.bind, one matrix-vector product, or
-    the memoized image when the child is a leaf. The fold is iterative, so
-    depth is bounded only by memory.
+    the memoized image when the child is a leaf, whose vector is its token's.
+    The fold is iterative, so depth is bounded only by memory.
     """
 
     def enc(node: Tree, subs: list[np.ndarray]) -> np.ndarray:
         if node.label >= e.schema.n_tokens:
             raise ValueError(f"label {node.label} outside schema")
         acc = e.token_vectors[node.label].copy()
-        for (attr, child), sub in zip(node.children, subs):
+        for (attr, _), sub in zip(node.children, subs):
             if attr >= e.schema.n_attributes:
                 raise ValueError(f"attribute {attr} outside schema")
-            acc += e.bind(attr, sub, child.label)
+            acc += e.bind(attr, sub)
         return acc
 
     return e.wrap(tree.fold(enc))
@@ -188,6 +190,8 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
 
 def chain_tree(e: Embedding, tokens: Sequence[int | str]) -> Tree:
     """A non-empty token sequence as a tree: each token's next child is the token after it."""
+    if len(tokens) == 0:
+        raise ValueError("chain_tree needs a non-empty sequence")
     nxt = e.schema.attribute_index(NEXT)
     *rest, last = [e.schema.token_index(t) for t in tokens]
     node = Tree(last)
@@ -207,30 +211,23 @@ def attach(
     """Graft the tree behind v2 under `attr` at the node addressed by `path`.
 
     Linear in both operands: the result is v1 plus v2 rotated by the path
-    product extended with the attachment attribute, innermost. Matches
-    bt_encode of the composed tree exactly when the slot is free.
+    product extended with the attachment attribute, innermost, one e.bind
+    per step. Matches bt_encode of the composed tree exactly when the slot is
+    free.
     """
     a = e.check(v1)
-    b = e.check(v2)
-    u = e.attribute_matrix(attr) @ b
-    for q in reversed(list(path)):
-        u = e.attribute_matrix(q) @ u
+    u = e.check(v2)
+    for q in [*path, attr][::-1]:
+        u = e.bind(e.schema.attribute_index(q), u)
     return e.wrap(a + u)
 
 
 def encode_list(e: Embedding, tokens: Sequence[int | str]) -> BTVector:
     """Embed a non-empty token sequence as a chain along the next attribute."""
-    if len(tokens) == 0:
-        raise ValueError("encode_list needs a non-empty sequence")
     return bt_encode(e, chain_tree(e, tokens))
 
 
 def push(e: Embedding, v: BTVector, token: int | str) -> BTVector:
-    """Prepend a token to a chain: token vector plus the shifted payload.
-
-    An all-zero payload, such as zero_vector's, shifts to itself, so its
-    d×d product is skipped.
-    """
+    """Prepend a token to a chain: token vector plus the payload bound under next."""
     data = e.check(v)
-    tail = e.attribute_matrix(NEXT) @ data if data.any() else data
-    return e.wrap(e.token_vector(token) + tail)
+    return e.wrap(e.token_vector(token) + e.bind(e.schema.attribute_index(NEXT), data))

@@ -51,7 +51,7 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
     return RuleSet(
         rules=tuple(rules),
         head_probes=e.token_vectors,
-        bind=lambda k, slot, head: e.bind(arg_indices[k], slot, head),
+        bind=lambda k, slot: e.bind(arg_indices[k], slot),
         fingerprint=e.fingerprint,
     )
 

@@ -91,6 +91,8 @@ class SeparationResult:
 
 def make_sweep_schema(n_tokens: int, n_attributes: int) -> Schema:
     """Data tokens t0..t{N-1} plus appended attribute tokens next, arg1, ..."""
+    if n_tokens < 0 or n_attributes < 1:
+        raise ValueError(f"sweep schema needs tokens >= 0 and attributes >= 1, got {n_tokens}, {n_attributes}")
     attrs = [NEXT] + [f"arg{i}" for i in range(1, n_attributes)]
     tokens = [f"t{i}" for i in range(n_tokens)] + attrs
     return Schema(tuple(tokens), tuple(attrs))

@@ -31,13 +31,12 @@ class Rule:
 class RuleSet:
     """Compiled rules, the embedding's token probes, and its binding.
 
-    bind(k, slot, head) is slot's term under the k-th argument attribute, for
-    a slot whose head label is head.
+    bind(k, slot) is slot's term under the k-th argument attribute.
     """
 
     rules: tuple[Rule, ...]
     head_probes: np.ndarray
-    bind: Callable[[int, np.ndarray, int], np.ndarray]
+    bind: Callable[[int, np.ndarray], np.ndarray]
     fingerprint: str
 
 
@@ -70,7 +69,7 @@ def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -
     m = len(rule.pattern)
     new = rule.replacement.copy()
     for k in range(m):
-        new += ruleset.bind(k, state.slots[j + k], state.heads[j + k])
+        new += ruleset.bind(k, state.slots[j + k])
     state.slots[j : j + m] = [new]
     state.heads[j : j + m] = [best_token(ruleset.head_probes @ new)]
     state.steps += 1

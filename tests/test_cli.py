@@ -7,6 +7,8 @@ the bottom goes through a real subprocess to cover the console entry point.
 from __future__ import annotations
 
 import json
+import os
+import resource
 import struct
 import subprocess
 import sys
@@ -71,6 +73,13 @@ class TestGenSchema:
         assert schema.n_tokens == 12
         assert schema.n_attributes == 2
         assert schema.attributes == ("next", "arg1")
+
+    @pytest.mark.parametrize("tokens, attributes", [("3", "0"), ("3", "-1"), ("-1", "2")])
+    def test_sizes_out_of_range_exit_2(self, tmp_path, capsys, tokens, attributes):
+        out = tmp_path / "s.json"
+        assert main(["gen-schema", "--tokens", tokens, "--attributes", attributes, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep schema needs")
+        assert not out.exists()
 
 
 class TestEncodeDecode:
@@ -519,3 +528,31 @@ class TestEntryPoint:
                 assert proc.stderr == ""
                 # pytest's own frames leave json.loads too little depth to read it back
                 assert (tmp_path / f"{n}.json").read_text().count('"label": "a"') == n
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["transformer-query", "--embedding", "{emb}", "--vector", "{vec}", "--k", "1000000000000"],
+            ["embed", "--schema", "{schema}", "--dim", "1000000000", "-o", "{out}"],
+            ["experiment", "--kind", "tree", "--dims", "1000000000", "--sizes", "1", "--trials", "1",
+             "-o", "{out}"],
+            ["separation", "--dim", "64", "--samples", "100000000", "--runs", "1", "-o", "{out}"],
+        ],
+        ids=["transformer-query", "embed", "experiment", "separation"],
+    )
+    def test_allocation_failure_exits_2(self, ws, tmp_path, args):
+        # each command asks numpy for tens of GiB or more at once; a 3 GiB
+        # address-space cap makes that allocation fail before any memory fills
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        paths = {"emb": ws["emb"], "vec": ws["vec"], "schema": ws["schema"], "out": tmp_path / "out"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "btembed", *(a.format(**paths) for a in args)],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()

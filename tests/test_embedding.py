@@ -251,8 +251,9 @@ class TestLists:
         np.testing.assert_array_equal(encode_list(emb_small, tokens).data, bt_encode(emb_small, tree).data)
 
     def test_empty_list_rejected(self, emb_small):
-        with pytest.raises(ValueError):
-            encode_list(emb_small, [])
+        for make in (encode_list, chain_tree):
+            with pytest.raises(ValueError, match="needs a non-empty sequence"):
+                make(emb_small, [])
 
     def test_push_onto_zero_is_the_token_vector(self, emb_small):
         v = push(emb_small, zero_vector(emb_small), "t3")
@@ -278,20 +279,79 @@ class TestLists:
         np.testing.assert_allclose(shifted, rest.data, atol=1e-9)
 
 
+def small_embedding() -> Embedding:
+    """A fresh embedding, so a test sees its own memo: tokens t0 t1 t2 next arg1, attributes next arg1."""
+    return make_embedding(make_sweep_schema(3, 2), 16, 1)
+
+
 class TestLeafImages:
     def test_built_on_first_use_and_read_only(self, tmp_path):
-        e = make_embedding(make_sweep_schema(3, 2), 16, 1)
+        e = small_embedding()
         save_embedding(e, tmp_path / "e.bte")
         for emb in (e, load_embedding(tmp_path / "e.bte")):
             assert "_leaf_images" not in emb.__dict__
-            image = emb.bind(1, emb.token_vectors[2].copy(), 2)
-            assert emb.bind(1, emb.token_vectors[2], 2) is image
+            image = emb.bind(1, emb.token_vectors[2].copy())
+            assert emb.bind(1, emb.token_vectors[2]) is image
             assert list(emb._leaf_images) == [(1, 2)]
             np.testing.assert_array_equal(image, emb.attribute_matrices[1] @ emb.token_vectors[2])
             with pytest.raises(ValueError):
                 image[0] = 1.0
             bt_encode(emb, Tree.make(0, {0: Tree(1), 1: Tree.make(2, {0: Tree(0)})}))
             assert sorted(emb._leaf_images) == [(0, 0), (0, 1), (1, 2)]
+
+    def test_push_onto_one_token_adds_its_image(self):
+        e = small_embedding()
+        one = push(e, zero_vector(e), "t2")
+        assert "_leaf_images" not in e.__dict__
+        two = push(e, one, "t0")
+        assert list(e._leaf_images) == [(0, 2)]
+        np.testing.assert_array_equal(two.data, e.token_vectors[0] + e._leaf_images[0, 2])
+        np.testing.assert_array_equal(two.data, encode_list(e, ["t0", "t2"]).data)
+
+    def test_attach_of_one_token_list_adds_its_image(self):
+        e = small_embedding()
+        base = bt_encode(e, Tree(0))
+        glued = attach(e, base, [], "arg1", encode_list(e, ["t1"]))
+        assert list(e._leaf_images) == [(1, 1)]
+        np.testing.assert_array_equal(glued.data, e.token_vectors[0] + e._leaf_images[1, 1])
+        # under a path only the innermost step binds a token's vector
+        deep = attach(e, base, ["next"], "arg1", encode_list(e, ["t2"]))
+        assert sorted(e._leaf_images) == [(1, 1), (1, 2)]
+        np.testing.assert_array_equal(deep.data, e.token_vectors[0] + e.attribute_matrices[0] @ e._leaf_images[1, 2])
+
+    def test_bind_of_zeros_runs_no_product(self):
+        # NaN matrices: any product would leave NaN in the result
+        d = 8
+        schema = make_sweep_schema(2, 2)
+        e = Embedding(schema=schema, dim=d, seed=0, token_vectors=np.eye(schema.n_tokens, d),
+                      attribute_matrices=np.full((2, d, d), np.nan),
+                      fingerprint=embedding_fingerprint(schema, d, 0))
+        for z in (np.zeros(d), -np.zeros(d)):
+            assert e.bind(1, z) is z
+        np.testing.assert_array_equal(push(e, zero_vector(e), "t1").data, e.token_vectors[1])
+        np.testing.assert_array_equal(attach(e, zero_vector(e), ["next"], "arg1", zero_vector(e)).data, np.zeros(d))
+        assert "_leaf_images" not in e.__dict__
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_bind_is_the_product_bitwise(self, emb_small, data):
+        e = emb_small
+        attr = data.draw(st.integers(0, e.schema.n_attributes - 1))
+        row = e.token_vectors[data.draw(st.integers(0, e.schema.n_tokens - 1))]
+        kind = data.draw(st.sampled_from(["row", "copy", "nudge", "random", "random sharing x[0]"]))
+        if kind == "row":
+            x = row
+        elif kind == "copy":
+            x = row.copy()
+        elif kind == "nudge":
+            x = row.copy()
+            i = data.draw(st.integers(0, e.dim - 1))
+            x[i] = np.nextafter(x[i], data.draw(st.sampled_from([-np.inf, np.inf])))
+        else:
+            x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(e.dim)
+            if kind == "random sharing x[0]":
+                x[0] = row[0]
+        assert e.bind(attr, x).tobytes() == (e.attribute_matrices[attr] @ x).tobytes()
 
 
 def trees(n_tokens: int, n_attrs: int):

@@ -38,6 +38,14 @@ class TestSweepSchema:
         s = make_sweep_schema(3, 1)
         assert s.attributes == ("next",)
 
+    def test_no_tokens_is_allowed(self):
+        assert make_sweep_schema(0, 1).tokens == ("next",)
+
+    @pytest.mark.parametrize("n_tokens, n_attributes", [(3, 0), (3, -2), (-1, 1)])
+    def test_sizes_out_of_range_rejected(self, n_tokens, n_attributes):
+        with pytest.raises(ValueError, match="sweep schema needs"):
+            make_sweep_schema(n_tokens, n_attributes)
+
 
 class TestSweepSpec:
     def test_valid(self):

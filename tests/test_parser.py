@@ -160,12 +160,17 @@ class TestWindows:
         nudged[0] += 1e-9
         state = ParseState.start([nudged, tok(e, "R")], parens_ruleset)
         assert state.heads == [L, SCHEMA.token_index("R")]
-        memo = parens_ruleset.bind(0, tok(e, "L"), L)
-        assert parens_ruleset.bind(0, tok(e, "L"), L) is memo
-        # a slot 1e-9 off its token's vector gets a fresh product, not the memo
-        fresh = parens_ruleset.bind(0, nudged, L)
-        assert fresh is not memo and fresh.flags.writeable
-        np.testing.assert_array_equal(fresh, e.attribute_matrices[arg1] @ nudged)
+        memo = parens_ruleset.bind(0, tok(e, "L"))
+        assert parens_ruleset.bind(0, tok(e, "L")) is memo
+        assert e._leaf_images[arg1, L] is memo
+        # a slot 1e-9 off its token's vector, in its first entry or a later
+        # one, gets a fresh product, not the memo
+        later = tok(e, "L")
+        later[5] += 1e-9
+        for off in (nudged, later):
+            fresh = parens_ruleset.bind(0, off)
+            assert fresh is not memo and fresh.flags.writeable
+            np.testing.assert_array_equal(fresh, e.attribute_matrices[arg1] @ off)
 
 
 class TestParse:
