@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .decoder import DecodeConfig, DecodeStats, decode, decode_token, decode_with_stats
+from .decoder import DecodeStats, decode, decode_token, decode_with_stats
 from .embedding import (
     Embedding,
     attach,
@@ -46,6 +46,7 @@ from .harness import (
     SweepSpec,
     make_sweep_schema,
     random_tree,
+    run_separation,
     run_separation_probe,
     run_sweep,
 )

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage or input problems, an allocation too large
 for memory among them, 3 schema mismatch, 4 decode came back absent, 5 no
-parse, 6 a budget hit: the decoder's node or depth budget, the parser's step
-budget, or a path longer than k - 1.
+parse, 6 a budget hit: the decoder's node budget, the parser's step budget,
+or a path longer than k - 1.
 """
 
 from __future__ import annotations
@@ -14,20 +14,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .decoder import DecodeConfig, decode
+from .decoder import MAX_NODES, decode
 from .embedding import bt_encode, make_embedding
 from .exceptions import BTError, BudgetExceededError, NoParseError, SchemaMismatchError
 from .grammar import compile_rules, load_grammar, parse
 from .harness import (
-    SEPARATION_CODE,
     SweepSpec,
-    cell_seed,
     make_sweep_schema,
-    run_separation_probe,
+    run_separation,
     run_sweep,
     separation_csv,
     sweep_csv,
-    trial_rng,
 )
 from .io import load_embedding, load_vector, save_embedding, save_vector
 from .schema import Schema, Tree
@@ -73,8 +70,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     e = load_embedding(args.embedding)
     v = load_vector(args.vector)
-    cfg = DecodeConfig(max_depth=args.max_depth, max_nodes=args.max_nodes)
-    tree = decode(e, v, cfg)
+    tree = decode(e, v, max_nodes=args.max_nodes)
     if tree is None:
         return _fail(EXIT_ABSENT, "vector decodes to absent")
     text = json.dumps(tree.to_dict(e.schema), indent=2) + "\n"
@@ -123,12 +119,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_separation(args) -> int:
-    schema = make_sweep_schema(100, 4)  # the tree sweep's schema
-    rows = []
-    for run in range(args.runs):
-        e = make_embedding(schema, args.dim, cell_seed(args.base_seed, SEPARATION_CODE, args.dim, run))
-        rng = trial_rng(args.base_seed, SEPARATION_CODE, args.dim, args.depth, run)
-        rows.append(run_separation_probe(e, args.depth, args.samples, rng))
+    rows = run_separation(args.dim, args.depth, args.samples, args.runs, args.base_seed)
     Path(args.output).write_text(separation_csv(rows))
     return EXIT_OK
 
@@ -160,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a vector back into tree JSON")
     p.add_argument("--embedding", required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--max-depth", type=int, default=DecodeConfig.max_depth)
-    p.add_argument("--max-nodes", type=int, default=DecodeConfig.max_nodes)
+    p.add_argument("--max-nodes", type=int, default=MAX_NODES)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_decode)
 

@@ -259,6 +259,21 @@ def run_separation_probe(
     )
 
 
+def run_separation(
+    dim: int, depth: int, samples: int, runs: int, base_seed: int = 0
+) -> list[SeparationResult]:
+    """One separation probe per run, each on its own embedding of the tree sweep's schema."""
+    if runs < 1:
+        raise InvalidSpecError("runs must be positive")
+    schema = make_sweep_schema(100, 4)
+    rows = []
+    for run in range(runs):
+        e = make_embedding(schema, dim, cell_seed(base_seed, SEPARATION_CODE, dim, run))
+        rng = trial_rng(base_seed, SEPARATION_CODE, dim, depth, run)
+        rows.append(run_separation_probe(e, depth, samples, rng))
+    return rows
+
+
 SWEEP_CSV_HEADER = "kind,d,l,trials,successes,success_rate,wall_time_ms"
 SEPARATION_CSV_HEADER = "d,depth,samples,max_abs_ip,jl_bound,violations"
 

@@ -1,7 +1,8 @@
 """End-to-end command flows, run in process through main().
 
-Subcommand wiring, exit codes, and file hand-off between steps. One test at
-the bottom goes through a real subprocess to cover the console entry point.
+Subcommand wiring, exit codes, and file hand-off between steps. The tests at
+the bottom go through a real `python -m btembed` subprocess to cover the
+console entry point.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import resource
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,17 @@ from btembed import (
 )
 from btembed.cli import main
 from btembed.embedding import embedding_fingerprint
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*args: str, env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m btembed` on this checkout's src, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "btembed", *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})}, **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +418,14 @@ class TestSeparation:
         for line in lines[1:]:
             assert line.endswith(",0")  # no violations at this dimension
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_no_runs_exits_2(self, tmp_path, capsys, runs):
+        out = tmp_path / "sep.csv"
+        rc = main(["separation", "--dim", "128", "--runs", runs, "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: runs must be positive\n"
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["separation", "--dim", "128", "--depth", "2", "--samples", "30", "--runs", "2"]
@@ -478,7 +499,7 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("decode", "--threshold"), ("transformer-query", "--sharpness"),
+        [("decode", "--threshold"), ("decode", "--max-depth"), ("transformer-query", "--sharpness"),
          ("transformer-query", "--gate-constant")],
     )
     def test_removed_flags_are_unknown(self, ws, command, flag):
@@ -494,10 +515,7 @@ class TestUsage:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "btembed", "--version"],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("btembed ")
 
@@ -514,12 +532,8 @@ class TestEntryPoint:
         save_embedding(e, tmp_path / "chain.bte")
         for n, rc in ((495, 0), (496, 2)):
             save_vector(e.wrap((np.arange(d) < n).astype(float)), tmp_path / "chain.btv")
-            proc = subprocess.run(
-                [sys.executable, "-m", "btembed", "decode", "--embedding", str(tmp_path / "chain.bte"),
-                 "--vector", str(tmp_path / "chain.btv"), "--max-depth", "5000",
-                 "-o", str(tmp_path / f"{n}.json")],
-                capture_output=True, text=True, timeout=120,
-            )
+            proc = run_module("decode", "--embedding", str(tmp_path / "chain.bte"),
+                              "--vector", str(tmp_path / "chain.btv"), "-o", str(tmp_path / f"{n}.json"))
             assert proc.returncode == rc
             if rc:
                 assert proc.stderr.startswith("error: maximum recursion depth exceeded")
@@ -547,11 +561,8 @@ class TestEntryPoint:
             resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
         paths = {"emb": ws["emb"], "vec": ws["vec"], "schema": ws["schema"], "out": tmp_path / "out"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "btembed", *(a.format(**paths) for a in args)],
-            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        proc = run_module(*(a.format(**paths) for a in args), preexec_fn=cap_address_space,
+                          env={"OPENBLAS_NUM_THREADS": "1"})
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: Unable to allocate")
         assert proc.stderr.count("\n") == 1

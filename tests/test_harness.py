@@ -13,6 +13,7 @@ from btembed import (
     make_embedding,
     make_sweep_schema,
     random_tree,
+    run_separation,
     run_separation_probe,
     run_sweep,
 )
@@ -189,6 +190,9 @@ class TestSeparation:
             run_separation_probe(e, 2, 1, np.random.default_rng(0))
         with pytest.raises(InvalidSpecError):
             run_separation_probe(e, -1, 10, np.random.default_rng(0))
+        for runs in (0, -3):
+            with pytest.raises(InvalidSpecError, match="runs must be positive"):
+                run_separation(64, 2, 10, runs)
 
 
 class TestCsv:
