@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage or input problems, an allocation too large
 for memory among them, 3 schema mismatch, 4 decode came back absent, 5 no
-parse, 6 a budget hit: the decoder's node budget, the parser's step budget,
-or a path longer than k - 1.
+parse, 6 a budget hit: the decoder's node budget min(d, 2|v|^2 + 1), the
+parser's step budget, or a path longer than k - 1.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .decoder import MAX_NODES, decode
+from .decoder import decode
 from .embedding import bt_encode, make_embedding
 from .exceptions import BTError, BudgetExceededError, NoParseError, SchemaMismatchError
 from .grammar import compile_rules, load_grammar, parse
@@ -70,7 +70,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     e = load_embedding(args.embedding)
     v = load_vector(args.vector)
-    tree = decode(e, v, max_nodes=args.max_nodes)
+    tree = decode(e, v)
     if tree is None:
         return _fail(EXIT_ABSENT, "vector decodes to absent")
     text = json.dumps(tree.to_dict(e.schema), indent=2) + "\n"
@@ -151,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a vector back into tree JSON")
     p.add_argument("--embedding", required=True)
     p.add_argument("--vector", required=True)
-    p.add_argument("--max-nodes", type=int, default=MAX_NODES)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_decode)
 

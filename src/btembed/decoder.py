@@ -19,10 +19,6 @@ from .exceptions import BudgetExceededError
 from .schema import Tree
 from .vectors import BTVector, best_token
 
-# Accepted nodes a decode may reach before it raises; a well-formed vector
-# never approaches this, noise that keeps clearing THRESHOLD does.
-MAX_NODES = 4096
-
 @dataclass
 class DecodeStats:
     """Probe accounting for one decode call.
@@ -47,15 +43,13 @@ def decode_token(e: Embedding, v: BTVector | np.ndarray) -> int | None:
     return best_token(e.token_vectors @ data)
 
 
-def decode(e: Embedding, v: BTVector, max_nodes: int = MAX_NODES) -> Tree | None:
+def decode(e: Embedding, v: BTVector) -> Tree | None:
     """Reconstruct the tree behind v, or None when the root probe fails."""
-    tree, _ = decode_with_stats(e, v, max_nodes)
+    tree, _ = decode_with_stats(e, v)
     return tree
 
 
-def decode_with_stats(
-    e: Embedding, v: BTVector, max_nodes: int = MAX_NODES
-) -> tuple[Tree | None, DecodeStats]:
+def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeStats]:
     """Decode v and count the work.
 
     Each accepted node goes into one record as (label, attr, parent, depth),
@@ -64,10 +58,14 @@ def decode_with_stats(
     passes gets its own slots scored by one grandchild_probes product on its
     parent's frame, and its frame, M_attr^T times its parent's, is made only
     when one of those passes: one dim x dim product per non-root internal
-    node. More than max_nodes accepted nodes, the root counted, raise
-    BudgetExceededError; as depth < nodes, that bounds depth too.
+    node. More than min(d, 2||v||^2 + 1) accepted nodes, the root counted,
+    raise BudgetExceededError; as depth < nodes, that bounds depth too. A
+    tree's ||v||^2 is its node count give or take sqrt(2n(n-1)/d), and no
+    d-dim vector holds more than d orthogonal node contributions.
     """
     data = e.check(v)
+    with np.errstate(over="ignore"):  # a finite v's ||v||^2 may be inf; min then gives d
+        budget = int(min(e.dim, 2 * float(data @ data) + 1))
     n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
     root = best_token(e.token_vectors @ data)
     if root is None:
@@ -76,8 +74,8 @@ def decode_with_stats(
     frames = {0: data}
     stack = [(0, e.child_probes @ data)]
     while stack:
-        if len(record) > max_nodes:
-            raise BudgetExceededError(f"decode exceeded max_nodes {max_nodes}")
+        if len(record) > budget:
+            raise BudgetExceededError(f"decode accepted over min(d, 2|v|^2 + 1) = {budget} nodes")
         i, scores = stack.pop()
         _, attr_i, parent, depth = record[i]
         for attr, slot in enumerate(scores.reshape(n_attrs, n_tokens)):

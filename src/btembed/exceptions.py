@@ -26,7 +26,7 @@ class SchemaMismatchError(BTError):
 
 
 class BudgetExceededError(BTError):
-    """A budget was hit: the decoder's node budget, or a subclass's."""
+    """A budget was hit: the decoder's node budget min(d, 2|v|^2 + 1), or a subclass's."""
 
 
 class PathTooLongError(BudgetExceededError):

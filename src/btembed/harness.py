@@ -239,13 +239,16 @@ def run_separation_probe(
         raise InvalidSpecError("depth must be non-negative")
     d = e.dim
     vs = np.empty((samples, d))
+    words = np.full((samples, depth), -1)  # -1 past a word's end
     for i in range(samples):
-        u = rng.standard_normal(d)
-        u /= np.linalg.norm(u)
+        vs[i] = rng.standard_normal(d)
+        vs[i] /= np.linalg.norm(vs[i])
         length = int(rng.integers(depth + 1))
-        for a in rng.integers(e.schema.n_attributes, size=length):
-            u = e.attribute_matrices[int(a)] @ u
-        vs[i] = u
+        words[i, :length] = rng.integers(e.schema.n_attributes, size=length)
+    # step s applies every word's s-th letter: one product per attribute
+    for letters in words.T:
+        for a, m in enumerate(e.attribute_matrices):
+            vs[letters == a] = vs[letters == a] @ m.T
     gram = np.abs(vs @ vs.T)
     np.fill_diagonal(gram, 0.0)
     bound = jl_bound(depth, samples, d)

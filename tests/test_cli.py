@@ -171,10 +171,18 @@ class TestEncodeDecode:
         err = capsys.readouterr().err
         assert err.startswith("error: embedding payload holds NaN") and err.count("\n") == 1
 
-    def test_tight_budget_exits_6(self, ws):
-        rc = main(["decode", "--embedding", str(ws["emb"]), "--vector", str(ws["vec"]),
-                   "--max-nodes", "1"])
-        assert rc == 6
+    def test_tight_budget_exits_6(self, ws, capsys):
+        # noise keeps clearing THRESHOLD past the budget min(d, 2||v||^2 + 1):
+        # about 201 nodes at norm 10, and d at norm 1e200, where every entry
+        # is finite and ||v||^2 is inf
+        e = load_embedding(ws["emb"])
+        x = np.random.default_rng(60).standard_normal(e.dim)
+        p = ws["root"] / "noise.btv"
+        for norm in (10.0, 1e200):
+            save_vector(BTVector(x * (norm / np.linalg.norm(x)), e.fingerprint), p)
+            assert main(["decode", "--embedding", str(ws["emb"]), "--vector", str(p)]) == 6
+            err = capsys.readouterr().err
+            assert err.startswith("error: decode accepted over") and err.count("\n") == 1
 
 
 def _deep_chain(depth: int) -> str:
@@ -499,8 +507,8 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("decode", "--threshold"), ("decode", "--max-depth"), ("transformer-query", "--sharpness"),
-         ("transformer-query", "--gate-constant")],
+        [("decode", "--threshold"), ("decode", "--max-depth"), ("decode", "--max-nodes"),
+         ("transformer-query", "--sharpness"), ("transformer-query", "--gate-constant")],
     )
     def test_removed_flags_are_unknown(self, ws, command, flag):
         with pytest.raises(SystemExit) as exc:

@@ -85,9 +85,16 @@ class TestDecodeToken:
         np.testing.assert_array_equal(e.child_probes, -e.token_vectors)
 
 
-def rotate_then_probe(e: Embedding, v, max_nodes: int) -> tuple[Tree | None, DecodeStats]:
+def budget(e: Embedding, v) -> int:
+    """The decoder's node budget, min(d, 2||v||^2 + 1), worked out the same way."""
+    with np.errstate(over="ignore"):
+        return int(min(e.dim, 2 * float(v.data @ v.data) + 1))
+
+
+def rotate_then_probe(e: Embedding, v) -> tuple[Tree | None, DecodeStats]:
     """Reference decoder: rotate into every child slot with M_attr^T, then probe it."""
     stats = DecodeStats()
+    max_nodes = budget(e, v)
 
     def explore(u: np.ndarray, depth: int) -> Tree | None:
         stats.visits += 1
@@ -98,7 +105,7 @@ def rotate_then_probe(e: Embedding, v, max_nodes: int) -> tuple[Tree | None, Dec
             return None
         stats.nodes += 1
         if stats.nodes > max_nodes:
-            raise BudgetExceededError(f"decode exceeded max_nodes {max_nodes}")
+            raise BudgetExceededError(f"decode accepted over min(d, 2|v|^2 + 1) = {max_nodes} nodes")
         stats.max_depth = max(stats.max_depth, depth)
         children = []
         for attr in range(e.schema.n_attributes):
@@ -110,20 +117,25 @@ def rotate_then_probe(e: Embedding, v, max_nodes: int) -> tuple[Tree | None, Dec
     return explore(v.data, 0), stats
 
 
-def outcome(decoder, e: Embedding, v, max_nodes: int):
+def outcome(decoder, e: Embedding, v):
     """A decoder's result, or the type and message of the budget error it raised."""
     try:
-        return decoder(e, v, max_nodes)
+        return decoder(e, v)
     except BudgetExceededError as err:
         return type(err), str(err)
 
 
 class TestProbeBeforeRotate:
-    """decode_with_stats agrees with the rotate-then-probe reference exactly."""
+    """decode_with_stats agrees with the rotate-then-probe reference exactly.
+
+    Depth stays under the budget, at most d, so at emb_small's d = 512 the
+    reference recurses fewer than 513 levels.
+    """
 
     def test_random_trees(self, emb_small):
         # at d = 192 most trees past size 8 decode wrong, as noise clears
-        # THRESHOLD in empty slots; those decodes must agree too
+        # THRESHOLD in empty slots; those decodes must agree too, and a
+        # budget error counts as a wrong decode
         noisy = make_embedding(make_sweep_schema(10, 2), 192, 7)
         rng = np.random.default_rng(57)
         wrong = 0
@@ -131,27 +143,24 @@ class TestProbeBeforeRotate:
             tree = random_tree(int(rng.integers(1, 17)), 10, 2, rng)
             for e in (emb_small, noisy):
                 v = bt_encode(e, tree)
-                for max_nodes in (4096, 5, 1):
-                    want = outcome(rotate_then_probe, e, v, max_nodes)
-                    assert outcome(decode_with_stats, e, v, max_nodes) == want
-            wrong += decode(noisy, v) != tree  # v is noisy's, from the last pass
+                want = outcome(rotate_then_probe, e, v)
+                assert outcome(decode_with_stats, e, v) == want
+            wrong += want[0] != tree  # noisy's, from the last pass
         assert wrong >= 20
 
     def test_noise_that_trips_the_budgets(self, emb_small):
+        # norm-10 noise trips 2||v||^2 + 1 and norm-30 noise the d cap
         rng = np.random.default_rng(58)
-        errors = set()
+        capped = set()
         for norm in (6.0, 10.0, 30.0):
             for _ in range(4):
                 x = rng.standard_normal(emb_small.dim)
                 v = emb_small.wrap(x * (norm / np.linalg.norm(x)))
-                # the reference recurses once per level, so noise that never
-                # stops must hit a budget under Python's recursion limit
-                for max_nodes in (400, 40, 3):
-                    want = outcome(rotate_then_probe, emb_small, v, max_nodes)
-                    assert outcome(decode_with_stats, emb_small, v, max_nodes) == want
-                    if want[0] is BudgetExceededError:
-                        errors.add(want[1].split()[2])
-        assert errors == {"max_nodes"}
+                want = outcome(rotate_then_probe, emb_small, v)
+                assert outcome(decode_with_stats, emb_small, v) == want
+                if want[0] is BudgetExceededError:
+                    capped.add(budget(emb_small, v) == emb_small.dim)
+        assert capped == {False, True}
 
 
 class TestChildProbes:
@@ -200,25 +209,33 @@ class TestGrandchildProbes:
                 table[0, 0] = 1.0
 
 
+def shift_chain(d: int) -> Embedding:
+    """Basis-vector tokens and the cyclic shift as M_next: for n <= d - 2 the
+    scaled indicator of the first n coordinates is an exact n-node chain,
+    whose every probe scores the scale or 0.0."""
+    return Embedding(
+        schema=Schema(("a", "next"), ("next",)),
+        dim=d,
+        seed=0,
+        token_vectors=np.eye(2, d),
+        attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None],
+        fingerprint="shift-chain",
+    )
+
+
+def chain(n: int) -> Tree:
+    t = Tree(0)
+    for _ in range(n - 1):
+        t = Tree(0, ((0, t),))
+    return t
+
+
 class TestDeepChain:
     def test_decodes_without_recursion(self):
-        # basis-vector tokens and the cyclic shift as M_next make the
-        # 1,100-node chain exact: every probe scores 1.0 or 0.0
         d, n = 1200, 1100
-        e = Embedding(
-            schema=Schema(("a", "next"), ("next",)),
-            dim=d,
-            seed=0,
-            token_vectors=np.eye(2, d),
-            attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None],
-            fingerprint="shift-chain",
-        )
-        v = e.wrap((np.arange(d) < n).astype(float))
-        tree, stats = decode_with_stats(e, v)
-        want = Tree(0)
-        for _ in range(n - 1):
-            want = Tree(0, ((0, want),))
-        assert tree == want
+        e = shift_chain(d)
+        tree, stats = decode_with_stats(e, e.wrap(np.arange(d) < n))
+        assert tree == chain(n)
         assert (stats.nodes, stats.max_depth) == (n, n - 1)
 
 
@@ -245,27 +262,38 @@ class TestDecode:
 
 
 class TestBudgets:
-    def chain(self, n: int) -> Tree:
-        t = Tree(1)
-        for _ in range(n - 1):
-            t = Tree.make(2, {0: t})
-        return t
+    """The shift chain scaled by s passes every probe, so its n nodes decode
+    exactly while n <= min(d, 2 s^2 n + 1) and raise past it."""
 
-    def test_node_budget(self, emb_small):
-        v = bt_encode(emb_small, self.chain(12))
-        with pytest.raises(BudgetExceededError):
-            decode(emb_small, v, max_nodes=5)
+    def test_node_budget(self):
+        e = shift_chain(64)
+        for n in range(1, 40):
+            v = e.wrap(0.6 * (np.arange(e.dim) < n))
+            if n > 2 * 0.36 * n + 1:
+                with pytest.raises(BudgetExceededError, match=f"= {budget(e, v)} nodes$"):
+                    decode(e, v)
+            else:
+                assert decode(e, v) == chain(n)
 
-    def test_budget_applies_to_accepted_nodes_only(self, emb_small):
-        # an n-node tree fits a budget of n, counting the root, and trips n - 1;
-        # the rejected child slots probed on the way count for nothing
-        rng = np.random.default_rng(52)
-        for tree in (Tree(3), self.chain(12), random_tree(8, 10, 2, rng)):
-            n = tree.node_count()
-            v = bt_encode(emb_small, tree)
-            assert decode(emb_small, v, max_nodes=n) == tree
-            with pytest.raises(BudgetExceededError, match=f"max_nodes {n - 1}$"):
-                decode(emb_small, v, max_nodes=n - 1)
+    def test_budget_applies_to_accepted_nodes_only(self):
+        # an n-node chain with n = int(0.72n + 1) fills its budget and decodes;
+        # the n + 1 slots probed on the way count for nothing
+        e = shift_chain(64)
+        for n in (1, 2, 3):
+            tree, stats = decode_with_stats(e, e.wrap(0.6 * (np.arange(e.dim) < n)))
+            assert tree == chain(n)
+            assert stats.nodes == n == int(0.72 * n + 1) < stats.visits
+
+    def test_dimension_caps_the_budget(self):
+        # 2||v||^2 + 1 = 2n + 1 exceeds d, so d binds: d - 2 nodes decode
+        # (past that the chain wraps round), and the all-ones vector, a chain
+        # that never ends, raises at d + 1 nodes; so does one whose every
+        # entry is finite and whose ||v||^2 is inf
+        e = shift_chain(16)
+        assert decode(e, e.wrap(np.arange(16) < 14)) == chain(14)
+        for scale in (1.0, 1e200):
+            with pytest.raises(BudgetExceededError, match="= 16 nodes$"):
+                decode(e, e.wrap(np.full(16, scale)))
 
 
 class TestStats:
