@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or input problems, an allocation too large
 for memory among them, 3 schema mismatch, 4 decode came back absent, 5 no
 parse, 6 a budget hit: the decoder's node budget min(d, 2|v|^2 + 1), the
-parser's step budget, or a path longer than k - 1.
+parser's step budget (n - 1) + u(2n - 1) for n tokens under u unary rules, or
+a path longer than k - 1.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def cmd_parse(args) -> int:
     tokens = args.input.split()
     if not tokens:
         return _fail(EXIT_USAGE, "empty input")
-    v = parse(e, tokens, ruleset, args.max_steps)
+    v = parse(e, tokens, ruleset)
     save_vector(v, args.output)
     return EXIT_OK
 
@@ -158,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", required=True)
     p.add_argument("--rules", required=True, help="grammar rules JSON")
     p.add_argument("--input", required=True, help="whitespace separated tokens")
-    p.add_argument("--max-steps", type=int)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_parse)
 

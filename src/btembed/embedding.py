@@ -201,8 +201,11 @@ def chain_tree(e: Embedding, tokens: Sequence[int | str]) -> Tree:
 
 
 def cardinality_estimate(v: BTVector) -> int:
-    """Nearest integer to the squared norm, the node count in expectation."""
-    return int(np.rint(v.data @ v.data))
+    """Nearest integer to the squared norm, the node count in expectation, capped at
+    d as the decoder's budget is, so an overflowing norm gives d; NaN or inf raise ValueError."""
+    data = checked_data(v, v.fingerprint, v.dim)
+    with np.errstate(over="ignore"):
+        return int(min(v.dim, np.rint(data @ data)))
 
 
 def attach(

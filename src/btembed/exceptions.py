@@ -42,7 +42,7 @@ class NoParseError(BTError):
 
 
 class StepBudgetExceededError(BudgetExceededError):
-    """Rewriting did not terminate within the step budget."""
+    """Rewriting ran past parser.step_budget, (n - 1) + u(2n - 1) steps for n slots, u unary rules."""
 
 
 class InvalidSpecError(BTError):

@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .embedding import Embedding
-from .exceptions import ArityExceededError
-from .parser import Rule, RuleSet, parse_vectors
+from .exceptions import ArityExceededError, StepBudgetExceededError
+from .parser import Rule, RuleSet, parse_vectors, step_budget
 from .schema import NEXT, Schema, Tree
 from .vectors import BTVector
 
@@ -56,31 +56,28 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
     )
 
 
-def parse(
-    e: Embedding,
-    tokens: Sequence[str],
-    ruleset: RuleSet,
-    max_steps: int | None = None,
-) -> BTVector:
+def parse(e: Embedding, tokens: Sequence[str], ruleset: RuleSet) -> BTVector:
     """Encode the input tokens as slots and run the vector engine."""
     slots = [e.wrap(e.token_vector(t)) for t in tokens]
-    return parse_vectors(slots, ruleset, max_steps)
+    return parse_vectors(slots, ruleset)
 
 
 def symbolic_parse(grammar: GrammarRules, tokens: Sequence[str], schema: Schema) -> Tree | None:
     """Reference shift-reduce parser with the engine's exact scan order.
 
     Returns the parse tree, with window members bound under the argument
-    attributes, or None when rewriting halts on several slots.
+    attributes, or None when rewriting halts on several slots. Raises
+    StepBudgetExceededError past the engine's step_budget, as the engine does.
     """
     arg_idx = [schema.attribute_index(a) for a in arg_attributes(schema)]
     slots: list[Tree] = [Tree(schema.token_index(t)) for t in tokens]
     if not slots:
         return None
     compiled = [
-        ([schema.token_index(t) for t in pattern], schema.token_index(replacement))
+        (tuple(schema.token_index(t) for t in pattern), schema.token_index(replacement))
         for pattern, replacement in grammar
     ]
+    budget, steps = step_budget(len(slots), [p for p, _ in compiled]), 0
     while True:
         hit = False
         for pattern, replacement in compiled:
@@ -89,6 +86,9 @@ def symbolic_parse(grammar: GrammarRules, tokens: Sequence[str], schema: Schema)
                 if all(slots[j + k].label == pattern[k] for k in range(m)):
                     kids = {arg_idx[k]: slots[j + k] for k in range(m)}
                     slots[j : j + m] = [Tree.make(replacement, kids)]
+                    steps += 1
+                    if steps > budget:
+                        raise StepBudgetExceededError(f"exceeded {budget} rewrite steps")
                     hit = True
                     break
             if hit:

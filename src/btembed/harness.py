@@ -26,7 +26,6 @@ from .grammar import (
     random_balanced,
     symbolic_parse,
 )
-from .parser import RuleSet
 from .schema import NEXT, Schema, Tree
 
 KIND_CODES = {"list": 1, "tree": 2, "parse": 3}
@@ -151,53 +150,38 @@ def tree_roundtrip_trial(e: Embedding, size: int, rng: np.random.Generator) -> b
     return _roundtrip(e, random_tree(size, n_labels, e.schema.n_attributes, rng))
 
 
-def parse_roundtrip_trial(
-    cell: tuple[Embedding, RuleSet], length: int, rng: np.random.Generator
-) -> bool:
-    e, ruleset = cell
+def parse_roundtrip_trial(e: Embedding, length: int, rng: np.random.Generator) -> bool:
     word = random_balanced(length, rng)
-    reference = symbolic_parse(balanced_parens_grammar(), word, e.schema)
+    grammar = balanced_parens_grammar()
+    reference = symbolic_parse(grammar, word, e.schema)
     try:
-        v = parse(e, word, ruleset)
+        v = parse(e, word, compile_rules(e, grammar))
         decoded = decode(e, v)
     except (NoParseError, BudgetExceededError):
         return False
     return reference is not None and decoded == reference
 
 
-def _list_cell(d: int, seed: int) -> Embedding:
-    return make_embedding(make_sweep_schema(100, 1), d, seed)
-
-
-def _tree_cell(d: int, seed: int) -> Embedding:
-    return make_embedding(make_sweep_schema(100, 4), d, seed)
-
-
-def _parse_cell(d: int, seed: int) -> tuple[Embedding, RuleSet]:
-    e = make_embedding(balanced_parens_schema(), d, seed)
-    return e, compile_rules(e, balanced_parens_grammar())
-
-
-# kind -> (cell builder(d, seed), trial(cell, size, rng))
+# kind -> (the schema every cell embeds, trial(embedding, size, rng))
 SWEEPS = {
-    "list": (_list_cell, list_roundtrip_trial),
-    "tree": (_tree_cell, tree_roundtrip_trial),
-    "parse": (_parse_cell, parse_roundtrip_trial),
+    "list": (make_sweep_schema(100, 1), list_roundtrip_trial),
+    "tree": (make_sweep_schema(100, 4), tree_roundtrip_trial),
+    "parse": (balanced_parens_schema(), parse_roundtrip_trial),
 }
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
-    build_cell, run_trial = SWEEPS[spec.kind]
+    schema, run_trial = SWEEPS[spec.kind]
     code = KIND_CODES[spec.kind]
     results = []
     for d in spec.dims:
         for l in spec.sizes:
             start = time.perf_counter()
-            cell = build_cell(d, cell_seed(spec.base_seed, code, d, l))
+            e = make_embedding(schema, d, cell_seed(spec.base_seed, code, d, l))
             successes = 0
             for trial in range(spec.trials):
                 rng = trial_rng(spec.base_seed, code, d, l, trial)
-                successes += bool(run_trial(cell, l, rng))
+                successes += bool(run_trial(e, l, rng))
             elapsed_ms = (time.perf_counter() - start) * 1e3
             results.append(
                 CellResult(

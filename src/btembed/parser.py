@@ -75,20 +75,30 @@ def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -
     state.steps += 1
 
 
-def parse_vectors(slots: list[BTVector], ruleset: RuleSet, max_steps: int | None = None) -> BTVector:
+def step_budget(n: int, patterns: list[tuple[int, ...]]) -> int:
+    """Rewrites a parse of n slots may make: (n - 1) + u (2n - 1), u the unary patterns.
+
+    At most n - 1 rewrites shrink the slot list, so at most 2n - 1 slots are
+    made; with exact heads and acyclic unary rules, each slot uses each unary
+    rule at most once. No terminating parse of such rules makes more.
+    """
+    u = sum(len(p) == 1 for p in patterns)
+    return (n - 1) + u * (2 * n - 1)
+
+
+def parse_vectors(slots: list[BTVector], ruleset: RuleSet) -> BTVector:
     """Run rules to fixpoint: first rule, leftmost window, restart after each hit.
 
     Succeeds when exactly one slot remains and nothing matches. Raises
-    NoParseError when stuck with several slots, StepBudgetExceededError when
-    the rewrite count passes max_steps (default 4 n^2). A slot from another
-    embedding or of another dim raises SchemaMismatchError, and one holding
-    NaN or inf raises ValueError, as in every other vector operation.
+    NoParseError when stuck with several slots, StepBudgetExceededError once
+    the rewrites outnumber step_budget. A slot from another embedding or of
+    another dim raises SchemaMismatchError, and one holding NaN or inf
+    raises ValueError, as in every other vector operation.
     """
     if not slots:
         raise NoParseError("no input slots")
     fp, dim = ruleset.fingerprint, ruleset.head_probes.shape[1]
-    if max_steps is None:
-        max_steps = 4 * len(slots) ** 2
+    budget = step_budget(len(slots), [r.pattern for r in ruleset.rules])
     state = ParseState.start([checked_data(v, fp, dim) for v in slots], ruleset)
     while True:
         hit = False
@@ -96,10 +106,8 @@ def parse_vectors(slots: list[BTVector], ruleset: RuleSet, max_steps: int | None
             for j in range(len(state.slots) - len(rule.pattern) + 1):
                 if match_window(rule, state, j):
                     apply_replacement(rule, state, j, ruleset)
-                    if state.steps > max_steps:
-                        raise StepBudgetExceededError(
-                            f"exceeded {max_steps} rewrite steps"
-                        )
+                    if state.steps > budget:
+                        raise StepBudgetExceededError(f"exceeded {budget} rewrite steps")
                     hit = True
                     break
             if hit:

@@ -257,11 +257,22 @@ class TestParse:
                    "--input", "L L", "-o", str(parse_ws["root"] / "x.btv")])
         assert rc == 5
 
-    def test_step_budget_exits_6(self, parse_ws):
-        rc = main(["parse", "--embedding", str(parse_ws["emb"]), "--rules", str(parse_ws["rules"]),
-                   "--input", "L R L R L R", "--max-steps", "4",
-                   "-o", str(parse_ws["root"] / "y.btv")])
+    def test_step_budget_exits_6(self, parse_ws, capsys):
+        # L -> R -> L never halts; two tokens stop after (2 - 1) + 2 (2 * 2 - 1) = 7 rewrites
+        cycle = parse_ws["root"] / "cycle.json"
+        save_grammar([(("L",), "R"), (("R",), "L")], cycle)
+        rc = main(["parse", "--embedding", str(parse_ws["emb"]), "--rules", str(cycle),
+                   "--input", "L R", "-o", str(parse_ws["root"] / "y.btv")])
         assert rc == 6
+        assert capsys.readouterr().err == "error: exceeded 7 rewrite steps\n"
+
+    def test_max_steps_is_unknown(self, parse_ws, capsys):
+        # every required argument is given, so the exit comes from the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["parse", "--embedding", str(parse_ws["emb"]), "--rules", str(parse_ws["rules"]),
+                  "--input", "L R", "--max-steps", "4", "-o", str(parse_ws["root"] / "y.btv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-steps 4" in capsys.readouterr().err
 
     def test_empty_input_exits_2(self, parse_ws):
         rc = main(["parse", "--embedding", str(parse_ws["emb"]), "--rules", str(parse_ws["rules"]),

@@ -9,6 +9,7 @@ independent to be checked against.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -436,6 +437,19 @@ class TestAttach:
 class TestCardinality:
     def test_single_node(self, emb_small):
         assert cardinality_estimate(bt_encode(emb_small, Tree(2))) == 1
+
+    def test_overflowing_norm_gets_d(self, emb_small):
+        # a finite vector whose squared norm is inf counts d nodes, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cardinality_estimate(emb_small.wrap(np.full(emb_small.dim, 1e200))) == emb_small.dim
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises(self, emb_small, bad):
+        data = np.zeros(emb_small.dim)
+        data[3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            cardinality_estimate(emb_small.wrap(data))
 
     def test_small_trees_at_wide_dimension(self):
         # sizes <= 5 keep the rounding error a >3.5 sigma event at d=2000

@@ -31,10 +31,12 @@ from btembed import (
     symbolic_parse,
 )
 from btembed.harness import cell_seed, trial_rng
-from btembed.parser import apply_replacement
+from btembed.parser import apply_replacement, step_budget
 
 GRAMMAR = balanced_parens_grammar()
 SCHEMA = balanced_parens_schema()
+UNARY_CHAIN = [((x,), y) for x, y in itertools.pairwise(["L", "R", "E", "next", "arg1", "arg2"])]
+UNARY_CYCLE = [(("L",), "R"), (("R",), "L")]
 
 
 def tok(e, name):
@@ -178,7 +180,8 @@ class TestParse:
         return symbolic_parse(GRAMMAR, word, SCHEMA)
 
     def test_single_nonterminal_is_a_fixpoint(self, parens_embedding, parens_ruleset):
-        v = parse(parens_embedding, ["E"], parens_ruleset, max_steps=0)
+        # one slot and no unary rules: the budget is 0 rewrites
+        v = parse(parens_embedding, ["E"], parens_ruleset)
         assert decode(parens_embedding, v) == Tree(SCHEMA.token_index("E"))
 
     def test_simplest_word(self, parens_embedding, parens_ruleset):
@@ -267,18 +270,39 @@ class TestParse:
         with pytest.raises(NoParseError):
             parse(parens_embedding, [], parens_ruleset)
 
-    def test_step_budget_boundary(self, parens_embedding, parens_ruleset):
-        # L L R R needs exactly two rewrites
-        word = ["L", "L", "R", "R"]
-        parse(parens_embedding, word, parens_ruleset, max_steps=2)
-        with pytest.raises(StepBudgetExceededError):
-            parse(parens_embedding, word, parens_ruleset, max_steps=1)
+    def test_step_budget_boundary(self, parens_embedding):
+        # five acyclic unary rules on one token take exactly B = 0 + 5 * 1 rewrites,
+        # one more than the old 4 n^2 default allowed
+        e = parens_embedding
+        ruleset = compile_rules(e, UNARY_CHAIN)
+        assert step_budget(1, [r.pattern for r in ruleset.rules]) == 5
+        tree = symbolic_parse(UNARY_CHAIN, ["L"], SCHEMA)
+        assert tree.node_count() == 6
+        assert decode(e, parse(e, ["L"], ruleset)) == tree
 
-    def test_three_pair_word_needs_five_steps(self, parens_embedding, parens_ruleset):
-        word = ["L", "R", "L", "R", "L", "R"]
-        parse(parens_embedding, word, parens_ruleset, max_steps=5)
-        with pytest.raises(StepBudgetExceededError):
-            parse(parens_embedding, word, parens_ruleset, max_steps=4)
+    @pytest.mark.parametrize(
+        "word, budget", [(["L"], 2), (["L", "R"], 7), (["L", "R"] * 4, 37)], ids=["n1", "n2", "n8"]
+    )
+    def test_cyclic_unary_rules_exceed_the_budget(self, parens_embedding, word, budget):
+        # L -> R -> L never halts; engine and oracle both stop after B = (n - 1) + 2 (2n - 1)
+        ruleset = compile_rules(parens_embedding, UNARY_CYCLE)
+        message = f"exceeded {budget} rewrite steps"
+        with pytest.raises(StepBudgetExceededError, match=message):
+            parse(parens_embedding, word, ruleset)
+        with pytest.raises(StepBudgetExceededError, match=message):
+            symbolic_parse(UNARY_CYCLE, word, SCHEMA)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        unary=st.lists(st.sampled_from([("L", "R"), ("L", "E"), ("R", "E")]), max_size=3),
+        word=balanced_word(12),
+        data=st.data(),
+    )
+    def test_acyclic_unary_rules_stay_in_budget(self, unary, word, data):
+        # each unary rule rewrites a token to a later one in L, R, E: no cycle
+        grammar = data.draw(st.permutations(GRAMMAR + [((x,), y) for x, y in unary]))
+        tree = symbolic_parse(grammar, word, SCHEMA)
+        assert tree is None or isinstance(tree, Tree)
 
     def test_foreign_slots_rejected(self, parens_embedding, parens_ruleset):
         other = make_embedding(SCHEMA, parens_embedding.dim, 12345)
