@@ -27,4 +27,4 @@ sizes = sorted({r.l for r in results})
 print("rate by d (rows) and size (cols):", sizes)
 for d in dims:
     row = sorted((r for r in results if r.d == d), key=lambda r: r.l)
-    print(f"  d={d:4d}  " + " ".join(f"{r.success_rate:5.2f}" for r in row))
+    print(f"  d={d:4d}  " + " ".join(f"{r.successes / r.trials:5.2f}" for r in row))

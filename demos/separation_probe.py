@@ -24,7 +24,7 @@ print(separation_csv(rows))
 for r in rows:
     print(
         f"d={r.d:5d}  worst overlap {r.max_abs_ip:.4f}"
-        f"  bound {r.jl_bound:.4f}  violations {r.violations}"
+        f"  bound {jl_bound(r.depth, r.samples, r.d):.4f}  violations {r.violations}"
     )
 
 # depth-0 vectors obey a tighter constant than matrix words

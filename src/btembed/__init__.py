@@ -61,6 +61,7 @@ from .parser import (
 )
 from .schema import NEXT, Schema, Tree
 from .transformer import (
+    CONTEXT,
     SeqState,
     XfConfig,
     attention_matrix,

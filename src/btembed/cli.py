@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage or input problems, an allocation too large
 for memory among them, 3 schema mismatch, 4 decode came back absent, 5 no
 parse, 6 a budget hit: the decoder's node budget min(d, 2|v|^2 + 1), the
 parser's step budget (n - 1) + u(2n - 1) for n tokens under u unary rules, or
-a path longer than k - 1.
+a transformer path longer than the 63 steps its context of 64 slots holds.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .embedding import bt_encode, make_embedding
 from .exceptions import BTError, BudgetExceededError, NoParseError, SchemaMismatchError
 from .grammar import compile_rules, load_grammar, parse
 from .harness import (
+    SWEEPS,
     SweepSpec,
     make_sweep_schema,
     run_separation,
@@ -98,7 +99,7 @@ def cmd_transformer_query(args) -> int:
     e = load_embedding(args.embedding)
     v = load_vector(args.vector)
     path = [p for p in args.path.replace(",", " ").split()] if args.path else []
-    cfg = XfConfig(k=args.k)
+    cfg = XfConfig()
     labels = run_decoder(e, v, path, cfg)
     if args.dump_weights:
         save_weights(export_weights(e, cfg), args.dump_weights)
@@ -166,12 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--path", default="", help="attribute names, comma or space separated")
-    p.add_argument("--k", type=int, default=XfConfig.k)
     p.add_argument("--dump-weights", metavar="DIR", help="write dense block tensors and a manifest")
     p.set_defaults(func=cmd_transformer_query)
 
     p = sub.add_parser("experiment", help="run a round-trip sweep and write CSV")
-    p.add_argument("--kind", choices=("list", "tree", "parse"), required=True)
+    p.add_argument("--kind", choices=tuple(SWEEPS), required=True)
     p.add_argument("--dims", required=True, help="comma separated dimensions")
     p.add_argument("--sizes", required=True, help="comma separated sizes")
     p.add_argument("--trials", type=int, required=True)

@@ -54,19 +54,33 @@ class Embedding:
     token_vectors has shape (n_tokens, dim) with unit rows. attribute_matrices
     has shape (n_attributes, dim, dim); each slice is orthogonal, so its
     inverse is its transpose. Both are stored as read-only views, so every
-    operation, rule set and vector shares the one fixed set of arrays.
+    operation, rule set and vector shares the one fixed set of arrays. dim
+    and fingerprint are read off the arrays and the seed, never set.
     """
 
     schema: Schema
-    dim: int
     seed: int
     token_vectors: np.ndarray
     attribute_matrices: np.ndarray
-    fingerprint: str
 
     def __post_init__(self) -> None:
         for name in ("token_vectors", "attribute_matrices"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
+        n, m = self.schema.n_tokens, self.schema.n_attributes
+        tok, mats = self.token_vectors.shape, self.attribute_matrices.shape
+        d = tok[-1] if tok else 0
+        if tok != (n, d) or mats != (m, d, d):
+            raise ValueError(f"arrays {tok} and {mats} do not fit a schema of {n} tokens and {m} attributes")
+        if d < 2:
+            raise DimensionTooSmallError(f"dim must be at least 2, got {d}")
+
+    @property
+    def dim(self) -> int:
+        return self.token_vectors.shape[1]
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return embedding_fingerprint(self.schema, self.dim, self.seed)
 
     @cached_property
     def child_probes(self) -> np.ndarray:
@@ -94,23 +108,25 @@ class Embedding:
             self._grandchild_probes[attr] = table
         return table
 
-    def bind(self, attr: int, x: np.ndarray) -> np.ndarray:
-        """attribute_matrices[attr] @ x, x's term under attr; the result is read, never written.
+    def bind(self, attr: int | str, x: np.ndarray) -> np.ndarray:
+        """M_attr @ x, x's term under attr; the result is read, never written.
 
-        An all-zero x is returned as is, since M 0 = 0. x exactly equal to a
-        token's vector (matched on its first entry, then whole) reads the
-        token's image from a read-only memo, filled on first use by that same
-        product, so its bits are the product's.
+        attr is a name or an index in the schema, else KeyError. An all-zero
+        x is returned as is, since M 0 = 0. x exactly equal to a token's
+        vector (matched on its first entry, then whole) reads the token's image
+        from a read-only memo keyed by attribute index, filled on first use by
+        that same product, so its bits are the product's.
         """
+        a = self.schema.attribute_index(attr)
         if not x.any():
             return x
         for label in np.flatnonzero(self.token_vectors[:, 0] == x[0]):
             if np.array_equal(x, self.token_vectors[label]):
-                key = (attr, int(label))
+                key = (a, int(label))
                 if key not in self._leaf_images:
-                    self._leaf_images[key] = read_only(self.attribute_matrices[attr] @ self.token_vectors[label])
+                    self._leaf_images[key] = read_only(self.attribute_matrices[a] @ self.token_vectors[label])
                 return self._leaf_images[key]
-        return self.attribute_matrices[attr] @ x
+        return self.attribute_matrices[a] @ x
 
     @cached_property
     def _grandchild_probes(self) -> dict[int, np.ndarray]:
@@ -151,14 +167,7 @@ def make_embedding(schema: Schema, dim: int, seed: int) -> Embedding:
     mats = np.empty((schema.n_attributes, dim, dim))
     for i in range(schema.n_attributes):
         mats[i] = haar_orthogonal(dim, rng)
-    return Embedding(
-        schema=schema,
-        dim=dim,
-        seed=seed,
-        token_vectors=tok,
-        attribute_matrices=mats,
-        fingerprint=embedding_fingerprint(schema, dim, seed),
-    )
+    return Embedding(schema=schema, seed=seed, token_vectors=tok, attribute_matrices=mats)
 
 
 def zero_vector(e: Embedding) -> BTVector:
@@ -221,7 +230,7 @@ def attach(
     a = e.check(v1)
     u = e.check(v2)
     for q in [*path, attr][::-1]:
-        u = e.bind(e.schema.attribute_index(q), u)
+        u = e.bind(q, u)
     return e.wrap(a + u)
 
 
@@ -233,4 +242,4 @@ def encode_list(e: Embedding, tokens: Sequence[int | str]) -> BTVector:
 def push(e: Embedding, v: BTVector, token: int | str) -> BTVector:
     """Prepend a token to a chain: token vector plus the payload bound under next."""
     data = e.check(v)
-    return e.wrap(e.token_vector(token) + e.bind(e.schema.attribute_index(NEXT), data))
+    return e.wrap(e.token_vector(token) + e.bind(NEXT, data))

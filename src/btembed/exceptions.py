@@ -30,7 +30,7 @@ class BudgetExceededError(BTError):
 
 
 class PathTooLongError(BudgetExceededError):
-    """Query path needs more slots than the position-code dimension supports."""
+    """Query path of 64 or more steps: more slots than the transformer's context of 64 holds."""
 
 
 class ArityExceededError(BTError):

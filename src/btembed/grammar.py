@@ -47,11 +47,10 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
                 replacement=e.token_vector(replacement),
             )
         )
-    arg_indices = [e.schema.attribute_index(a) for a in args]
     return RuleSet(
         rules=tuple(rules),
         head_probes=e.token_vectors,
-        bind=lambda k, slot: e.bind(arg_indices[k], slot),
+        bind=lambda k, slot: e.bind(args[k], slot),
         fingerprint=e.fingerprint,
     )
 

@@ -28,7 +28,6 @@ from .grammar import (
 )
 from .schema import NEXT, Schema, Tree
 
-KIND_CODES = {"list": 1, "tree": 2, "parse": 3}
 SEPARATION_CODE = 4
 
 
@@ -37,9 +36,8 @@ class SweepSpec:
     """Grid description for one sweep.
 
     sizes are list lengths, tree node counts, or balanced-string lengths
-    depending on kind. Each kind runs on its acceptance suite's schema: lists
-    on make_sweep_schema(100, 1), trees on make_sweep_schema(100, 4), parses
-    on the balanced-parens schema.
+    depending on kind. kind names an entry of SWEEPS, which fixes the kind's
+    seed code, the schema every cell embeds and the trial.
     """
 
     kind: str
@@ -51,7 +49,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        if self.kind not in KIND_CODES:
+        if self.kind not in SWEEPS:
             raise InvalidSpecError(f"unknown sweep kind {self.kind!r}")
         if not self.dims or any(d < 2 for d in self.dims):
             raise InvalidSpecError("dims must be non-empty, all at least 2")
@@ -74,7 +72,6 @@ class CellResult:
     l: int
     trials: int
     successes: int
-    success_rate: float
     wall_time_ms: float
 
 
@@ -84,7 +81,6 @@ class SeparationResult:
     depth: int
     samples: int
     max_abs_ip: float
-    jl_bound: float
     violations: int
 
 
@@ -114,6 +110,9 @@ def random_tree(size: int, n_labels: int, n_attributes: int, rng: np.random.Gene
     probability. A child's index exceeds its parent's, so nodes are built in
     reverse index order.
     """
+    for name, value in (("size", size), ("n_labels", n_labels), ("n_attributes", n_attributes)):
+        if value < 1:
+            raise ValueError(f"random_tree needs {name} >= 1, got {value}")
     labels = [int(rng.integers(n_labels))]
     children: list[dict[int, int]] = [{}]
     open_slots = [(0, a) for a in range(n_attributes)]
@@ -162,17 +161,17 @@ def parse_roundtrip_trial(e: Embedding, length: int, rng: np.random.Generator) -
     return reference is not None and decoded == reference
 
 
-# kind -> (the schema every cell embeds, trial(embedding, size, rng))
+# kind -> (the code in every cell and trial seed, the schema every cell
+# embeds, trial(embedding, size, rng)); the seeds, and so the CSVs, depend on the codes
 SWEEPS = {
-    "list": (make_sweep_schema(100, 1), list_roundtrip_trial),
-    "tree": (make_sweep_schema(100, 4), tree_roundtrip_trial),
-    "parse": (balanced_parens_schema(), parse_roundtrip_trial),
+    "list": (1, make_sweep_schema(100, 1), list_roundtrip_trial),
+    "tree": (2, make_sweep_schema(100, 4), tree_roundtrip_trial),
+    "parse": (3, balanced_parens_schema(), parse_roundtrip_trial),
 }
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
-    schema, run_trial = SWEEPS[spec.kind]
-    code = KIND_CODES[spec.kind]
+    code, schema, run_trial = SWEEPS[spec.kind]
     results = []
     for d in spec.dims:
         for l in spec.sizes:
@@ -190,7 +189,6 @@ def run_sweep(spec: SweepSpec) -> list[CellResult]:
                     l=l,
                     trials=spec.trials,
                     successes=successes,
-                    success_rate=successes / spec.trials,
                     wall_time_ms=elapsed_ms,
                 )
             )
@@ -208,6 +206,13 @@ def jl_bound(depth: int, samples: int, d: int) -> float:
     return math.sqrt(32.0 * math.log(samples) / d)
 
 
+def _check_probe(depth: int, samples: int) -> None:
+    if samples < 2:
+        raise InvalidSpecError("separation probe needs at least 2 samples")
+    if depth < 0:
+        raise InvalidSpecError("depth must be non-negative")
+
+
 def run_separation_probe(
     e: Embedding, depth: int, samples: int, rng: np.random.Generator
 ) -> SeparationResult:
@@ -217,10 +222,7 @@ def run_separation_probe(
     to a fresh random unit vector; well-separated embeddings keep every
     distinct pair under the bound.
     """
-    if samples < 2:
-        raise InvalidSpecError("separation probe needs at least 2 samples")
-    if depth < 0:
-        raise InvalidSpecError("depth must be non-negative")
+    _check_probe(depth, samples)
     d = e.dim
     vs = np.empty((samples, d))
     words = np.full((samples, depth), -1)  # -1 past a word's end
@@ -235,14 +237,12 @@ def run_separation_probe(
             vs[letters == a] = vs[letters == a] @ m.T
     gram = np.abs(vs @ vs.T)
     np.fill_diagonal(gram, 0.0)
-    bound = jl_bound(depth, samples, d)
     return SeparationResult(
         d=d,
         depth=depth,
         samples=samples,
         max_abs_ip=float(gram.max()),
-        jl_bound=bound,
-        violations=int(np.count_nonzero(np.triu(gram, 1) > bound)),
+        violations=int(np.count_nonzero(np.triu(gram, 1) > jl_bound(depth, samples, d))),
     )
 
 
@@ -252,6 +252,7 @@ def run_separation(
     """One separation probe per run, each on its own embedding of the tree sweep's schema."""
     if runs < 1:
         raise InvalidSpecError("runs must be positive")
+    _check_probe(depth, samples)
     schema = make_sweep_schema(100, 4)
     rows = []
     for run in range(runs):
@@ -271,7 +272,7 @@ def sweep_csv(results: list[CellResult], timings: bool = False) -> str:
     for r in results:
         wall = f"{r.wall_time_ms:.3f}" if timings else ""
         lines.append(
-            f"{r.kind},{r.d},{r.l},{r.trials},{r.successes},{r.success_rate:.6f},{wall}"
+            f"{r.kind},{r.d},{r.l},{r.trials},{r.successes},{r.successes / r.trials:.6f},{wall}"
         )
     return "\n".join(lines) + "\n"
 
@@ -280,6 +281,7 @@ def separation_csv(rows: list[SeparationResult]) -> str:
     lines = [SEPARATION_CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{r.d},{r.depth},{r.samples},{r.max_abs_ip:.6f},{r.jl_bound:.6f},{r.violations}"
+            f"{r.d},{r.depth},{r.samples},{r.max_abs_ip:.6f},"
+            f"{jl_bound(r.depth, r.samples, r.d):.6f},{r.violations}"
         )
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import GENERATOR_NAME, Embedding, embedding_fingerprint
+from .embedding import GENERATOR_NAME, Embedding
 from .exceptions import FileFormatError
 from .schema import Schema
 from .vectors import BTVector
@@ -102,14 +102,7 @@ def load_embedding(path: str | Path) -> Embedding:
             raise FileFormatError("trailing bytes after payload")
     if not (np.isfinite(tok).all() and np.isfinite(mats).all()):
         raise FileFormatError("embedding payload holds NaN or infinite values")
-    return Embedding(
-        schema=schema,
-        dim=dim,
-        seed=seed,
-        token_vectors=tok,
-        attribute_matrices=mats,
-        fingerprint=embedding_fingerprint(schema, dim, seed),
-    )
+    return Embedding(schema=schema, seed=seed, token_vectors=tok, attribute_matrices=mats)
 
 
 def save_vector(v: BTVector, path: str | Path) -> None:

@@ -1,8 +1,9 @@
 """A fixed-weight transformer that walks attribute paths in embedding space.
 
-The decoder runs n slots for a length n-1 path. Slots concatenate five
-channels: position code p (k wide), working vector v, relay w, path r, and
-output t (d wide each). The prompt gives each slot its own input embedding,
+The decoder runs n slots for a length n-1 path, at most CONTEXT = 64 slots,
+so a path of at most 63 steps. Slots concatenate five channels: position
+code p (CONTEXT wide), working vector v, relay w, path r, and output t (d
+wide each). The prompt gives each slot its own input embedding,
 built outside the network: in p the one-hot code p_i = e_i = Z^(i-1) e_1,
 with Z the cyclic shift, and in r the token of the attribute that leads into
 slot i (zero in slot 1, the root). Slot 1's v holds the query. Every block
@@ -36,9 +37,12 @@ from .exceptions import PathTooLongError
 from .vectors import THRESHOLD, BTVector
 
 
+# Slots in the context, and the width of their one-hot position codes.
+CONTEXT = 64
+
+
 @dataclass(frozen=True)
 class XfConfig:
-    k: int = 64
     attn_sharpness: float = 100.0
     gate_constant: float = 1e4
 
@@ -57,17 +61,17 @@ class SeqState:
         return np.concatenate([self.pos, self.v, self.w, self.r, self.t], axis=1)
 
 
-def init_state(e: Embedding, v: BTVector, path: Sequence[int | str], k: int) -> SeqState:
+def init_state(e: Embedding, v: BTVector, path: Sequence[int | str]) -> SeqState:
     """The prompt: one-hot codes in p, the query in slot 1's v, and in r one path token per slot.
 
-    Slot i holds the code p_i = e_i of width k, so any two codes are
-    orthogonal; n > k slots raise PathTooLongError. Slot i >= 2 holds in r
+    Slot i holds the code p_i = e_i of width CONTEXT, so any two codes are
+    orthogonal; n > CONTEXT slots raise PathTooLongError. Slot i >= 2 holds in r
     the token of the (i-1)-th path attribute, gathered from the token table.
     Slot 1's r is zero, as the root label needs no step.
     """
     n = len(path) + 1
-    if n > k:
-        raise PathTooLongError(f"{n} slots exceed position dimension k={k}")
+    if n > CONTEXT:
+        raise PathTooLongError(f"{n} slots exceed the context of {CONTEXT}")
     data = e.check(v)
     tokens = [e.schema.attribute_token_indices[e.schema.attribute_index(a)] for a in path]
     d = e.dim
@@ -75,7 +79,7 @@ def init_state(e: Embedding, v: BTVector, path: Sequence[int | str], k: int) -> 
     vm[0] = data
     rm = np.zeros((n, d))
     rm[1:] = e.token_vectors[tokens]
-    return SeqState(pos=np.eye(n, k), v=vm, w=np.zeros((n, d)), r=rm, t=np.zeros((n, d)))
+    return SeqState(pos=np.eye(n, CONTEXT), v=vm, w=np.zeros((n, d)), r=rm, t=np.zeros((n, d)))
 
 
 def attention_matrix(pos: np.ndarray, cfg: XfConfig) -> np.ndarray:
@@ -164,7 +168,7 @@ def run_decoder(
     after following the first i-1 path attributes.
     """
     n = len(path) + 1
-    state = init_state(e, v, path, cfg.k)
+    state = init_state(e, v, path)
     for _ in range(n):
         state = block(state, e, cfg)
     return [decode_token(e, state.t[i]) for i in range(n)]
@@ -176,10 +180,10 @@ def export_weights(e: Embedding, cfg: XfConfig) -> dict[str, np.ndarray]:
     Channel layout along the width: [p | v | w | r | t]. The attention value
     map and both feed-forward affine pairs reproduce the structured evaluator
     bit for bit; x + out @ relu(lin @ x + bias) applies an FFN. Each tensor is
-    dense over the slot width k + 4d (Wv is its square), so exporting is meant
-    for small k and d.
+    dense over the slot width CONTEXT + 4d (Wv is its square), so exporting is
+    meant for small d.
     """
-    k, d = cfg.k, e.dim
+    k, d = CONTEXT, e.dim
     n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
     s = k + 4 * d
     pv, vv, wv, rv, tv = 0, k, k + d, k + 2 * d, k + 3 * d

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from btembed import balanced_parens_grammar, balanced_parens_schema, compile_rules
-from btembed import make_embedding, make_sweep_schema
+from btembed import make_embedding, make_sweep_schema, save_embedding
 
 acceptance_lines: list[str] = []
 
@@ -46,6 +48,20 @@ def parens_embedding():
 @pytest.fixture(scope="session")
 def parens_ruleset(parens_embedding):
     return compile_rules(parens_embedding, balanced_parens_grammar())
+
+
+@pytest.fixture(scope="session")
+def write_bte():
+    """Write a well-formed .bte of any dim, which no Embedding below dim 2 can save."""
+
+    def write(path, dim: int):
+        save_embedding(make_embedding(make_sweep_schema(2, 1), 2, 0), path)
+        raw = bytearray(path.read_bytes()[: -8 * (3 * 2 + 1 * 2 * 2)])  # drop the d = 2 payload
+        struct.pack_into("<I", raw, 8, dim)  # after the magic and the version
+        path.write_bytes(bytes(raw) + np.ones(3 * dim + 1 * dim * dim).tobytes())
+        return path
+
+    return write
 
 
 @pytest.fixture(scope="session")

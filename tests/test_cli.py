@@ -34,7 +34,6 @@ from btembed import (
     symbolic_parse,
 )
 from btembed.cli import main
-from btembed.embedding import embedding_fingerprint
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -170,6 +169,12 @@ class TestEncodeDecode:
         assert main(["decode", "--embedding", str(p), "--vector", str(ws["vec"])]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: embedding payload holds NaN") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_embedding_below_dim_2_exits_2(self, ws, capsys, tmp_path, write_bte, dim):
+        p = write_bte(tmp_path / "small.bte", dim)
+        assert main(["decode", "--embedding", str(p), "--vector", str(ws["vec"])]) == 2
+        assert capsys.readouterr().err == f"error: dim must be at least 2, got {dim}\n"
 
     def test_tight_budget_exits_6(self, ws, capsys):
         # noise keeps clearing THRESHOLD past the budget min(d, 2||v||^2 + 1):
@@ -324,12 +329,11 @@ class TestTransformerQuery:
         assert rc == 3
 
     def test_path_too_long_exits_6(self, ws, capsys):
-        # two steps need three slots, one more than k = 2 holds
+        # 64 steps need 65 slots, one more than the context holds
         rc = main(["transformer-query", "--embedding", str(ws["emb"]),
-                   "--vector", str(ws["vec"]), "--k", "2", "--path", "next,next"])
+                   "--vector", str(ws["vec"]), "--path", ",".join(["next"] * 64)])
         assert rc == 6
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: 65 slots exceed the context of 64\n"
 
     def test_dump_weights(self, tmp_path, capsys):
         schema = tmp_path / "s.json"
@@ -342,7 +346,7 @@ class TestTransformerQuery:
         assert main(["encode", "--embedding", str(emb), "--tree", str(tree), "-o", str(vec)]) == 0
         wdir = tmp_path / "weights"
         rc = main(["transformer-query", "--embedding", str(emb), "--vector", str(vec),
-                   "--k", "16", "--dump-weights", str(wdir)])
+                   "--dump-weights", str(wdir)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == ["t2"]
         manifest = json.loads((wdir / "manifest.json").read_text())
@@ -366,26 +370,20 @@ class TestTransformerQuery:
 
         wdir = tmp_path / "weights"
         rc = main(["transformer-query", "--embedding", str(emb), "--vector", str(vec),
-                   "--path", "next", "--k", "16", "--dump-weights", str(wdir)])
+                   "--path", "next", "--dump-weights", str(wdir)])
         assert rc == 0
-        expected = export_weights(e, XfConfig(k=16))["Wq"]
+        expected = export_weights(e, XfConfig())["Wq"]
         written = np.fromfile(wdir / "Wq.bin", dtype="<f8").reshape(expected.shape)
         np.testing.assert_array_equal(written, expected)
 
-    def test_large_k_needs_no_k_by_k_matrix(self, ws, capsys):
-        rc = main(["transformer-query", "--embedding", str(ws["emb"]),
-                   "--vector", str(ws["vec"]), "--path", "arg1", "--k", "1000000"])
-        assert rc == 0
-        assert json.loads(capsys.readouterr().out) == ["t1", "t3"]
-
     def test_dumped_weights_do_not_depend_on_the_path(self, ws, tmp_path):
         # positions come from the prompt, so one set of tensors serves every
-        # path that fits in k slots
+        # path that fits in the context
         dumps = []
         for path in ("", "arg1,next,next"):
             wdir = tmp_path / f"w{len(dumps)}"
             rc = main(["transformer-query", "--embedding", str(ws["emb"]), "--vector", str(ws["vec"]),
-                       "--path", path, "--k", "8", "--dump-weights", str(wdir)])
+                       "--path", path, "--dump-weights", str(wdir)])
             assert rc == 0
             dumps.append({f.name: f.read_bytes() for f in wdir.iterdir()})
         assert dumps[0] == dumps[1]
@@ -443,6 +441,18 @@ class TestSeparation:
         rc = main(["separation", "--dim", "128", "--runs", runs, "-o", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == "error: runs must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--samples", "1", "separation probe needs at least 2 samples"),
+         ("--depth", "-1", "depth must be non-negative")],
+    )
+    def test_bad_probe_arguments_exit_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "sep.csv"
+        rc = main(["separation", "--dim", "128", "--runs", "1", flag, value, "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_deterministic(self, tmp_path):
@@ -519,7 +529,8 @@ class TestUsage:
     @pytest.mark.parametrize(
         "command, flag",
         [("decode", "--threshold"), ("decode", "--max-depth"), ("decode", "--max-nodes"),
-         ("transformer-query", "--sharpness"), ("transformer-query", "--gate-constant")],
+         ("transformer-query", "--sharpness"), ("transformer-query", "--gate-constant"),
+         ("transformer-query", "--k")],
     )
     def test_removed_flags_are_unknown(self, ws, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -545,9 +556,8 @@ class TestEntryPoint:
         # recursion limit of 1,000
         d = 512
         schema = Schema(("a", "next"), ("next",))
-        e = Embedding(schema=schema, dim=d, seed=0, token_vectors=np.eye(2, d),
-                      attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None],
-                      fingerprint=embedding_fingerprint(schema, d, 0))
+        e = Embedding(schema=schema, seed=0, token_vectors=np.eye(2, d),
+                      attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None])
         save_embedding(e, tmp_path / "chain.bte")
         for n, rc in ((495, 0), (496, 2)):
             save_vector(e.wrap((np.arange(d) < n).astype(float)), tmp_path / "chain.btv")
@@ -565,13 +575,12 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "args",
         [
-            ["transformer-query", "--embedding", "{emb}", "--vector", "{vec}", "--k", "1000000000000"],
             ["embed", "--schema", "{schema}", "--dim", "1000000000", "-o", "{out}"],
             ["experiment", "--kind", "tree", "--dims", "1000000000", "--sizes", "1", "--trials", "1",
              "-o", "{out}"],
             ["separation", "--dim", "64", "--samples", "100000000", "--runs", "1", "-o", "{out}"],
         ],
-        ids=["transformer-query", "embed", "experiment", "separation"],
+        ids=["embed", "experiment", "separation"],
     )
     def test_allocation_failure_exits_2(self, ws, tmp_path, args):
         # each command asks numpy for tens of GiB or more at once; a 3 GiB

@@ -47,14 +47,7 @@ class TestDecodeToken:
         # the attribute flips the sign, so no child slot of a token scores above 0
         schema = Schema(("a", "b", "a_attr"), ("a_attr",))
         tv = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        return Embedding(
-            schema=schema,
-            dim=2,
-            seed=0,
-            token_vectors=tv,
-            attribute_matrices=-np.eye(2)[None, :, :],
-            fingerprint="exact-test",
-        )
+        return Embedding(schema=schema, seed=0, token_vectors=tv, attribute_matrices=-np.eye(2)[None, :, :])
 
     def test_threshold_is_strict(self):
         e = self.exact_embedding()
@@ -215,11 +208,9 @@ def shift_chain(d: int) -> Embedding:
     whose every probe scores the scale or 0.0."""
     return Embedding(
         schema=Schema(("a", "next"), ("next",)),
-        dim=d,
         seed=0,
         token_vectors=np.eye(2, d),
         attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None],
-        fingerprint="shift-chain",
     )
 
 

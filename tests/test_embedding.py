@@ -71,6 +71,30 @@ class TestConstruction:
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmallError):
             make_embedding(make_sweep_schema(4, 1), 1, 0)
+        for d in (0, 1):
+            with pytest.raises(DimensionTooSmallError, match=f"got {d}"):
+                Embedding(make_sweep_schema(4, 1), 0, np.ones((5, d)), np.ones((1, d, d)))
+
+    def test_dim_and_fingerprint_come_from_arrays_and_seed(self, emb_small):
+        assert emb_small.dim == emb_small.token_vectors.shape[1] == 512
+        assert emb_small.fingerprint == embedding_fingerprint(emb_small.schema, 512, 7)
+        with pytest.raises(TypeError):
+            Embedding(schema=emb_small.schema, seed=7, token_vectors=emb_small.token_vectors,
+                      attribute_matrices=emb_small.attribute_matrices, dim=512, fingerprint="x")
+
+    @pytest.mark.parametrize(
+        "tok_shape, mats_shape",
+        [
+            ((12, 16), (2, 7, 7)),  # arrays of two dims
+            ((11, 16), (2, 16, 16)),  # a token row short of the schema
+            ((12, 16), (3, 16, 16)),  # a matrix more than the schema's attributes
+            ((12, 16), (2, 16, 8)),  # matrices not square
+            ((12,), (2, 12, 12)),  # token vectors not a matrix
+        ],
+    )
+    def test_mismatched_shapes_raise(self, tok_shape, mats_shape):
+        with pytest.raises(ValueError, match="do not fit a schema of 12 tokens and 2 attributes"):
+            Embedding(make_sweep_schema(10, 2), 0, np.zeros(tok_shape), np.zeros(mats_shape))
 
     def test_seed_out_of_range(self):
         with pytest.raises(ValueError):
@@ -293,6 +317,7 @@ class TestLeafImages:
             assert "_leaf_images" not in emb.__dict__
             image = emb.bind(1, emb.token_vectors[2].copy())
             assert emb.bind(1, emb.token_vectors[2]) is image
+            assert emb.bind("arg1", emb.token_vectors[2]) is image
             assert list(emb._leaf_images) == [(1, 2)]
             np.testing.assert_array_equal(image, emb.attribute_matrices[1] @ emb.token_vectors[2])
             with pytest.raises(ValueError):
@@ -324,9 +349,8 @@ class TestLeafImages:
         # NaN matrices: any product would leave NaN in the result
         d = 8
         schema = make_sweep_schema(2, 2)
-        e = Embedding(schema=schema, dim=d, seed=0, token_vectors=np.eye(schema.n_tokens, d),
-                      attribute_matrices=np.full((2, d, d), np.nan),
-                      fingerprint=embedding_fingerprint(schema, d, 0))
+        e = Embedding(schema=schema, seed=0, token_vectors=np.eye(schema.n_tokens, d),
+                      attribute_matrices=np.full((2, d, d), np.nan))
         for z in (np.zeros(d), -np.zeros(d)):
             assert e.bind(1, z) is z
         np.testing.assert_array_equal(push(e, zero_vector(e), "t1").data, e.token_vectors[1])
@@ -408,6 +432,12 @@ class TestIndexBounds:
         v = bt_encode(emb_small, Tree(0))
         with pytest.raises(KeyError):
             attach(emb_small, v, path, attr, v)
+
+    @pytest.mark.parametrize("attr", [-1, 2, "nope"])
+    def test_bind(self, emb_small, attr):
+        for x in (emb_small.token_vectors[0], np.zeros(emb_small.dim)):
+            with pytest.raises(KeyError):
+                emb_small.bind(attr, x)
 
 
 class TestAttach:
@@ -524,14 +554,7 @@ class TestReadOnly:
     def test_caller_arrays_stay_writable(self, emb_small):
         tok = np.array(emb_small.token_vectors)
         mats = np.array(emb_small.attribute_matrices)
-        e = Embedding(
-            schema=emb_small.schema,
-            dim=emb_small.dim,
-            seed=emb_small.seed,
-            token_vectors=tok,
-            attribute_matrices=mats,
-            fingerprint=emb_small.fingerprint,
-        )
+        e = Embedding(schema=emb_small.schema, seed=emb_small.seed, token_vectors=tok, attribute_matrices=mats)
         assert np.shares_memory(e.token_vectors, tok)
         assert np.shares_memory(e.attribute_matrices, mats)
         tok[0, 0] = 2.0

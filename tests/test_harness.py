@@ -17,6 +17,7 @@ from btembed import (
     run_separation_probe,
     run_sweep,
 )
+from btembed import harness
 from btembed.harness import (
     SEPARATION_CSV_HEADER,
     SWEEP_CSV_HEADER,
@@ -117,6 +118,17 @@ class TestGenerators:
         assert t.node_count() == 5000
         assert max(len(p) for p, _ in t.paths()) == 4999
 
+    @pytest.mark.parametrize(
+        "size, n_labels, n_attributes, name",
+        [(0, 5, 2, "size"), (-3, 5, 2, "size"), (3, 0, 2, "n_labels"), (3, 5, 0, "n_attributes")],
+    )
+    def test_random_tree_rejects_sizes_it_cannot_make(self, size, n_labels, n_attributes, name):
+        rng = np.random.default_rng(125)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"{name} >= 1"):
+            random_tree(size, n_labels, n_attributes, rng)
+        assert rng.bit_generator.state == state  # rejected before the first draw
+
     def test_deterministic(self):
         a = random_tree(8, 10, 3, np.random.default_rng(123))
         b = random_tree(8, 10, 3, np.random.default_rng(123))
@@ -142,7 +154,6 @@ class TestSweeps:
             assert r.d == 256
             assert r.trials == 6
             assert r.successes == 6
-            assert r.success_rate == 1.0
             assert r.wall_time_ms >= 0.0
 
     def test_tree_sweep_clean_regime(self):
@@ -159,7 +170,7 @@ class TestSweeps:
         # far past the capacity boundary the round trip must mostly fail
         spec = SweepSpec(kind="tree", dims=(64,), sizes=(20,), trials=6)
         (r,) = run_sweep(spec)
-        assert r.success_rate < 0.5
+        assert r.successes / r.trials < 0.5
 
 
 class TestSeparation:
@@ -175,7 +186,7 @@ class TestSeparation:
             r = run_separation_probe(e, depth, 60, np.random.default_rng(41))
             assert r.d == 512
             assert r.samples == 60
-            assert 0.0 < r.max_abs_ip < r.jl_bound
+            assert 0.0 < r.max_abs_ip < jl_bound(depth, 60, 512)
             assert r.violations == 0
 
     def test_probe_deterministic(self):
@@ -194,11 +205,24 @@ class TestSeparation:
             with pytest.raises(InvalidSpecError, match="runs must be positive"):
                 run_separation(64, 2, 10, runs)
 
+    @pytest.mark.parametrize(
+        "depth, samples, message",
+        [(4, 1, "at least 2 samples"), (-1, 500, "depth must be non-negative")],
+    )
+    def test_run_separation_checks_before_embedding(self, monkeypatch, depth, samples, message):
+        # the probe's own checks, made before the first embedding is sampled
+        def no_embedding(*args):
+            raise AssertionError("make_embedding called")
+
+        monkeypatch.setattr(harness, "make_embedding", no_embedding)
+        with pytest.raises(InvalidSpecError, match=message):
+            run_separation(1000, depth, samples, 1)
+
 
 class TestCsv:
     ROWS = [
-        CellResult("tree", 128, 4, 10, 9, 0.9, 12.3456),
-        CellResult("tree", 128, 8, 10, 10, 1.0, 7.0),
+        CellResult("tree", 128, 4, 10, 9, 12.3456),
+        CellResult("tree", 128, 8, 10, 10, 7.0),
     ]
 
     def test_sweep_csv_golden(self):
@@ -213,9 +237,10 @@ class TestCsv:
         assert "tree,128,4,10,9,0.900000,12.346\n" in out
 
     def test_separation_csv_golden(self):
-        rows = [SeparationResult(512, 3, 60, 0.1234567, 0.5058824, 0)]
+        # the bound column is jl_bound(3, 60, 512), computed as the row is written
+        rows = [SeparationResult(512, 3, 60, 0.1234567, 0)]
         assert separation_csv(rows) == (
-            SEPARATION_CSV_HEADER + "\n" + "512,3,60,0.123457,0.505882,0\n"
+            SEPARATION_CSV_HEADER + "\n" + "512,3,60,0.123457,0.505862,0\n"
         )
 
     def test_rerun_is_byte_identical(self, tmp_path):

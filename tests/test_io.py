@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from btembed import (
     BTError,
     BTVector,
+    DimensionTooSmallError,
     FileFormatError,
     Tree,
     bt_encode,
@@ -35,9 +36,16 @@ class TestEmbeddingFile:
         back = load_embedding(p)
         assert back.schema == emb.schema
         assert back.seed == emb.seed
+        assert back.dim == emb.dim
         assert back.fingerprint == emb.fingerprint
         np.testing.assert_array_equal(back.token_vectors, emb.token_vectors)
         np.testing.assert_array_equal(back.attribute_matrices, emb.attribute_matrices)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_dim_below_2_raises(self, tmp_path, write_bte, dim):
+        # the loader gives the same error as make_embedding for a dim it refuses
+        with pytest.raises(DimensionTooSmallError, match=f"got {dim}"):
+            load_embedding(write_bte(tmp_path / "small.bte", dim))
 
     def test_loaded_arrays_are_read_only(self, emb, tmp_path):
         p = tmp_path / "e.bte"

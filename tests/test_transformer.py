@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from btembed import (
+    CONTEXT,
     THRESHOLD,
+    Embedding,
     PathTooLongError,
     Tree,
     XfConfig,
@@ -27,6 +29,7 @@ from btembed import (
     export_weights,
     ffn1,
     ffn2,
+    haar_orthogonal,
     init_state,
     make_embedding,
     make_sweep_schema,
@@ -69,60 +72,74 @@ def random_path(tree, rng, max_len):
     return path
 
 
-def positions(e, n, k):
-    """The p channel of an n-slot prompt at width k."""
-    return init_state(e, e.wrap(np.zeros(e.dim)), [0] * (n - 1), k).pos
+def positions(e, n):
+    """The p channel of an n-slot prompt."""
+    return init_state(e, e.wrap(np.zeros(e.dim)), [0] * (n - 1)).pos
 
 
-def shift(e, k):
+def shift(e):
     """Z, read back from the exported query map: Wq's p block is Z^T."""
-    wq = export_weights(e, XfConfig(k=k))["Wq"]
-    np.testing.assert_array_equal(wq[:, k:], 0.0)
-    return wq[:, :k].T
+    wq = export_weights(e, XfConfig())["Wq"]
+    np.testing.assert_array_equal(wq[:, CONTEXT:], 0.0)
+    return wq[:, :CONTEXT].T
+
+
+def exact_chain(q):
+    """Tokens t0, t1, next on the first three basis vectors and M_next the cyclic
+    shift by three, both rotated by the orthogonal q: a chain of up to d / 3
+    nodes is exact, every probe of a slot scoring 1 on its own label and 0 on
+    every other token, up to rounding."""
+    d = q.shape[0]
+    return Embedding(
+        schema=make_sweep_schema(2, 1),
+        seed=0,
+        token_vectors=np.eye(3, d) @ q.T,
+        attribute_matrices=(q @ np.roll(np.eye(d), 3, axis=0) @ q.T)[None],
+    )
 
 
 class TestPositions:
     """The prompt's one-hot codes and the step Z that attention and Wq share."""
 
     def test_unit_norms_and_orbit(self, small):
-        pos, step = positions(small, 8, 8), shift(small, 8)
-        np.testing.assert_array_equal(pos @ pos.T, np.eye(8))
-        np.testing.assert_array_equal(step @ step.T, np.eye(8))
-        np.testing.assert_array_equal(pos[0], np.eye(8)[0])
-        for i in range(1, 8):
+        pos, step = positions(small, CONTEXT), shift(small)
+        np.testing.assert_array_equal(pos @ pos.T, np.eye(CONTEXT))
+        np.testing.assert_array_equal(step @ step.T, np.eye(CONTEXT))
+        np.testing.assert_array_equal(pos[0], np.eye(CONTEXT)[0])
+        for i in range(1, CONTEXT):
             np.testing.assert_array_equal(pos[i], step @ pos[i - 1])
 
     def test_step_is_a_permutation(self, small):
-        step = shift(small, 16)
+        step = shift(small)
         assert set(np.unique(step)) == {0.0, 1.0}
         np.testing.assert_array_equal(step.sum(axis=0), 1.0)
         np.testing.assert_array_equal(step.sum(axis=1), 1.0)
 
     def test_deterministic(self, small):
-        np.testing.assert_array_equal(positions(small, 6, 32), positions(small, 6, 32))
-        np.testing.assert_array_equal(shift(small, 32), shift(small, 32))
+        np.testing.assert_array_equal(positions(small, 6), positions(small, 6))
+        np.testing.assert_array_equal(shift(small), shift(small))
 
     def test_single_slot(self, small):
-        pos = positions(small, 1, 16)
-        assert pos.shape == (1, 16)
-        np.testing.assert_array_equal(pos[0], np.eye(16)[0])
+        pos = positions(small, 1)
+        assert pos.shape == (1, CONTEXT)
+        np.testing.assert_array_equal(pos[0], np.eye(CONTEXT)[0])
 
     def test_every_slot_count_up_to_k(self, small):
-        for n in range(1, 9):
-            np.testing.assert_array_equal(positions(small, n, 8), np.eye(n, 8))
+        for n in range(1, CONTEXT + 1):
+            np.testing.assert_array_equal(positions(small, n), np.eye(n, CONTEXT))
         with pytest.raises(PathTooLongError):
-            positions(small, 9, 8)
+            positions(small, CONTEXT + 1)
 
 
 class TestAttention:
     def test_weight_rows(self, small):
-        w = attention_matrix(positions(small, 8, 64), XfConfig())
+        w = attention_matrix(positions(small, 8), XfConfig())
         np.testing.assert_array_equal(w[0], 0.0)
         np.testing.assert_allclose(w[1:].sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w[np.triu_indices(8)] == 0.0)  # strictly causal
 
     def test_mass_lands_on_predecessor(self, small):
-        w = attention_matrix(positions(small, 8, 64), XfConfig())
+        w = attention_matrix(positions(small, 8), XfConfig())
         for i in range(1, 8):
             assert w[i, i - 1] == 1.0
             # every other earlier slot keeps exp(-sharpness) of the mass
@@ -131,7 +148,7 @@ class TestAttention:
     def test_value_delivery_matches_manual_softmax(self, emb_paths):
         e = emb_paths
         rng = np.random.default_rng(68)
-        state = init_state(e, bt_encode(e, random_tree(4, 30, 3, rng)), [0, 1], 64)
+        state = init_state(e, bt_encode(e, random_tree(4, 30, 3, rng)), [0, 1])
         wm = rng.standard_normal((3, e.dim))
         state = replace(state, w=wm)
         out = attention_step(state, XfConfig())
@@ -148,7 +165,7 @@ class TestInitState:
     def test_layout(self, emb_paths):
         e = emb_paths
         v = bt_encode(e, tree_small())
-        state = init_state(e, v, ["next", "arg1"], 64)
+        state = init_state(e, v, ["next", "arg1"])
         np.testing.assert_array_equal(state.pos, np.eye(3, 64))
         assert state.as_matrix().shape == (3, 64 + 4 * e.dim)
         np.testing.assert_array_equal(state.v[0], v.data)
@@ -164,12 +181,12 @@ class TestInitState:
         # the root label needs no step, so slot 1's r decodes to nothing
         e = emb_paths
         v = bt_encode(e, tree_small())
-        state = init_state(e, v, ["next", "arg1", "arg2"], 64)
+        state = init_state(e, v, ["next", "arg1", "arg2"])
         assert decode_token(e, state.r[0]) is None
 
     def test_empty_path_has_zero_chain(self, emb_paths):
         e = emb_paths
-        state = init_state(e, bt_encode(e, tree_small()), [], 64)
+        state = init_state(e, bt_encode(e, tree_small()), [])
         np.testing.assert_array_equal(state.r, 0.0)
 
 
@@ -190,7 +207,7 @@ class TestSchedule:
         labels = path_labels(tree, path)
         attr_tokens = [e.schema.attribute_token_indices[a] for a in path]
         n = len(path) + 1
-        state = init_state(e, bt_encode(e, tree), path, 64)
+        state = init_state(e, bt_encode(e, tree), path)
         prompt_r = state.r.copy()
         for s in range(n):
             # r: slot s holds the s-th path token from the prompt on
@@ -213,7 +230,7 @@ class TestSchedule:
         rng = np.random.default_rng(75)
         tree, path = self.make_instance(e, rng)
         n = len(path) + 1
-        state = init_state(e, bt_encode(e, tree), path, 64)
+        state = init_state(e, bt_encode(e, tree), path)
         for _ in range(n):
             state = block(state, e, XfConfig())
             np.testing.assert_array_equal(state.v, 0.0)
@@ -227,7 +244,7 @@ class TestSchedule:
             tree, path = self.make_instance(e, rng)
         labels = path_labels(tree, path)
         n = len(path) + 1
-        state = init_state(e, bt_encode(e, tree), path, 64)
+        state = init_state(e, bt_encode(e, tree), path)
         for _ in range(n - 1):
             state = block(state, e, XfConfig())
         assert decode_token(e, state.t[n - 1]) is None
@@ -271,18 +288,11 @@ class TestRunDecoder:
     def test_path_too_long(self, emb_paths):
         e = emb_paths
         v = bt_encode(e, tree_small())
-        with pytest.raises(PathTooLongError):
-            run_decoder(e, v, ["next"] * 8, XfConfig(k=8))
+        with pytest.raises(PathTooLongError, match="65 slots exceed the context of 64"):
+            run_decoder(e, v, ["next"] * CONTEXT)
 
-    @pytest.mark.parametrize(
-        "length, cfg",
-        [
-            pytest.param(8, XfConfig(), id="8"),
-            pytest.param(12, XfConfig(), id="12"),
-            pytest.param(7, XfConfig(k=8), id="7-k8"),  # n = k: every position code in use
-        ],
-    )
-    def test_long_paths_agree(self, emb_paths, length, cfg):
+    @pytest.mark.parametrize("length", [8, 12])
+    def test_long_paths_agree(self, emb_paths, length):
         # each slot's gate sees only its own attribute token, so its off-target
         # inputs stay at the token overlaps however long the path grows
         e = emb_paths
@@ -290,29 +300,34 @@ class TestRunDecoder:
         for _ in range(20):
             labels = [int(x) for x in rng.integers(30, size=length + 1)]
             path = [int(a) for a in rng.integers(3, size=length)]
-            assert run_decoder(e, bt_encode(e, chain(labels, path)), path, cfg) == labels
+            assert run_decoder(e, bt_encode(e, chain(labels, path)), path) == labels
+
+    def test_full_context_on_an_exact_chain(self):
+        # a 63-step path fills all 64 slots, every position code in use; one
+        # more step does not fit
+        e = exact_chain(np.eye(256))
+        labels = [int(x) for x in np.random.default_rng(96).integers(3, size=CONTEXT)]
+        path = [0] * (CONTEXT - 1)
+        v = bt_encode(e, chain(labels, path))
+        assert run_decoder(e, v, path) == labels
+        with pytest.raises(PathTooLongError):
+            run_decoder(e, v, path + [0])
 
     def test_full_width_at_every_seed(self):
-        # the codes do not depend on the embedding, so a path that fills all k
-        # positions decodes whatever the embedding's seed
+        # the codes do not depend on the embedding, so a path that fills all
+        # 64 positions decodes whatever seeded rotation the embedding is in
         rng = np.random.default_rng(95)
         for seed in range(4):
-            e = make_embedding(make_sweep_schema(30, 3), 512, seed)
-            labels = [int(x) for x in rng.integers(30, size=8)]
-            path = [int(a) for a in rng.integers(3, size=7)]
-            assert run_decoder(e, bt_encode(e, chain(labels, path)), path, XfConfig(k=8)) == labels
+            e = exact_chain(haar_orthogonal(256, np.random.default_rng(seed)))
+            labels = [int(x) for x in rng.integers(3, size=CONTEXT)]
+            path = [0] * (CONTEXT - 1)
+            assert run_decoder(e, bt_encode(e, chain(labels, path)), path) == labels
 
     @pytest.mark.parametrize("path", [[-1], [3], ["nope"]])
     def test_unknown_attribute_raises(self, emb_paths, path):
         e = emb_paths
         with pytest.raises(KeyError):
             run_decoder(e, bt_encode(e, tree_small()), path)
-
-    def test_large_k_builds_no_k_by_k_matrix(self, emb_paths):
-        # attention shifts the n x k codes instead of multiplying by Z
-        e = emb_paths
-        v = bt_encode(e, tree_small())
-        assert run_decoder(e, v, [0], XfConfig(k=10**6)) == [3, 5]
 
     def test_gate_saturation_margin(self, emb_paths):
         # doubling both saturation constants must not move any label
@@ -360,7 +375,7 @@ class TestLiveSlotFfn1:
         for _ in range(10):
             tree = random_tree(int(rng.integers(2, 9)), 30, 3, rng)
             path = random_path(tree, rng, 4)
-            state = init_state(e, bt_encode(e, tree), path, 64)
+            state = init_state(e, bt_encode(e, tree), path)
             for _ in range(len(path) + 1):
                 state = attention_step(state, cfg)
                 got = ffn1(state, e, cfg)
@@ -370,7 +385,7 @@ class TestLiveSlotFfn1:
 
     def adversarial_state(self, e, case, rng):
         n, d = 4, e.dim
-        state = init_state(e, e.wrap(np.zeros(d)), [0, 1, 2], 64)
+        state = init_state(e, e.wrap(np.zeros(d)), [0, 1, 2])
         n_attrs = e.schema.n_attributes
         if case == "zero":
             return replace(state, r=np.zeros((n, d)))
@@ -412,7 +427,7 @@ class TestLiveSlotFfn1:
         for _ in range(15):
             tree = random_tree(int(rng.integers(1, 10)), 30, 3, rng)
             path = random_path(tree, rng, 4)
-            got = want = init_state(e, bt_encode(e, tree), path, 64)
+            got = want = init_state(e, bt_encode(e, tree), path)
             for _ in range(len(path) + 1):
                 got = block(got, e, cfg)
                 want = block_all_pairs(want, e, cfg)
@@ -458,20 +473,20 @@ class TestDenseParity:
         while len(path) != 3:
             tree = random_tree(5, 6, 2, rng)
             path = random_path(tree, rng, 3)
-        self.assert_parity(e, init_state(e, bt_encode(e, tree), path, 8))
+        self.assert_parity(e, init_state(e, bt_encode(e, tree), path))
 
     def test_block_parity_two_live_slots(self, small):
         # a second slot with nonzero v exercises every skip ffn1 can make
         e = small
         rng = np.random.default_rng(94)
         trees = [random_tree(4, 6, 2, rng) for _ in range(2)]
-        state = init_state(e, bt_encode(e, trees[0]), [0, 1, 0], 8)
+        state = init_state(e, bt_encode(e, trees[0]), [0, 1, 0])
         v = state.v.copy()
         v[2] = bt_encode(e, trees[1]).data
         self.assert_parity(e, replace(state, v=v))
 
     def assert_parity(self, e, state):
-        cfg = XfConfig(k=8)
+        cfg = XfConfig()
         tensors = export_weights(e, cfg)
         x = state.as_matrix()
         for _ in range(4):
@@ -481,8 +496,8 @@ class TestDenseParity:
 
     def test_tensor_shapes(self, small):
         e = small
-        tensors = export_weights(e, XfConfig(k=8))
-        d, k = e.dim, 8
+        tensors = export_weights(e, XfConfig())
+        d, k = e.dim, CONTEXT
         s = k + 4 * d
         n_attrs, n_tokens = e.schema.n_attributes, e.schema.n_tokens
         assert tensors["Wq"].shape == (k, s)
@@ -495,7 +510,7 @@ class TestDenseParity:
 
     def test_save_weights(self, small, tmp_path):
         e = small
-        tensors = export_weights(e, XfConfig(k=8))
+        tensors = export_weights(e, XfConfig())
         save_weights(tensors, tmp_path / "wts")
         manifest = json.loads((tmp_path / "wts" / "manifest.json").read_text())
         assert manifest["byte_order"] == "little"
