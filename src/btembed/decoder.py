@@ -2,10 +2,11 @@
 
 Token probes are inner products against the token matrix. A node is accepted
 when its best probe clears THRESHOLD. Its child slots are probed all at
-once, through the embedding's child_probes at the root and its
-grandchild_probes below. Undoing a node's attribute rotation with the
-matrix transpose waits until one of the node's own child slots passes, so a
-leaf costs no dim x dim product. An absent subtree simply fails its probe.
+once, through one of the embedding's slot_probes tables applied to the
+frame of an ancestor, so the vector is rotated with a matrix transpose only
+where a path would outgrow probe_depth. A leaf costs no dim x dim product,
+and neither does a tree whose leaves are at most probe_depth levels below
+the root. An absent subtree simply fails its probe.
 """
 
 from __future__ import annotations
@@ -53,15 +54,18 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
     """Decode v and count the work.
 
     Each accepted node goes into one record as (label, attr, parent, depth),
-    parents before children, and the tree and stats are built from it. One
-    child_probes product scores every child slot of the root. A child that
-    passes gets its own slots scored by one grandchild_probes product on its
-    parent's frame, and its frame, M_attr^T times its parent's, is made only
-    when one of those passes: one dim x dim product per non-root internal
-    node. More than min(d, 2||v||^2 + 1) accepted nodes, the root counted,
-    raise BudgetExceededError; as depth < nodes, that bounds depth too. A
-    tree's ||v||^2 is its node count give or take sqrt(2n(n-1)/d), and no
-    d-dim vector holds more than d orthogonal node contributions.
+    parents before children, and the tree and stats are built from it. A
+    node's child slots are scored by slot_probes(path) @ frame, where frame
+    is an anchor's vector M^T-rotated from the root and path leads from the
+    anchor to the node; the root is the first anchor. A node whose path is
+    probe_depth long and one of whose child slots passes becomes an anchor.
+    Its frame is rotated down from its nearest ancestor that has one, and
+    every frame on the way is kept, so each internal non-root node costs at
+    most one dim x dim product. More than min(d, 2||v||^2 + 1) accepted
+    nodes, the root counted, raise BudgetExceededError; as depth < nodes,
+    that bounds depth too. A tree's ||v||^2 is its node count give or take
+    sqrt(2n(n-1)/d), and no d-dim vector holds more than d orthogonal node
+    contributions.
     """
     data = e.check(v)
     with np.errstate(over="ignore"):  # a finite v's ||v||^2 may be inf; min then gives d
@@ -72,18 +76,30 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
         return None, DecodeStats(visits=1, probes=n_tokens)
     record = [(root, -1, -1, 0)]
     frames = {0: data}
-    stack = [(0, e.child_probes @ data)]
+
+    def make_frame(i: int) -> None:
+        way = []
+        while i not in frames:
+            way.append(i)
+            i = record[i][2]
+        for j in reversed(way):
+            _, attr, parent, _ = record[j]
+            frames[j] = e.attribute_matrices[attr].T @ frames[parent]
+
+    stack = [(0, 0, (), e.slot_probes() @ data)]
     while stack:
         if len(record) > budget:
             raise BudgetExceededError(f"decode accepted over min(d, 2|v|^2 + 1) = {budget} nodes")
-        i, scores = stack.pop()
-        _, attr_i, parent, depth = record[i]
+        i, anchor, path, scores = stack.pop()
+        depth = record[i][3]
         for attr, slot in enumerate(scores.reshape(n_attrs, n_tokens)):
             label = best_token(slot)
             if label is not None:
-                if i not in frames:
-                    frames[i] = e.attribute_matrices[attr_i].T @ frames[parent]
-                stack.append((len(record), e.grandchild_probes(attr) @ frames[i]))
+                if len(path) == e.probe_depth:
+                    make_frame(i)
+                    anchor, path = i, ()
+                child = (*path, attr)
+                stack.append((len(record), anchor, child, e.slot_probes(child) @ frames[anchor]))
                 record.append((label, attr, i, depth + 1))
 
     # children come after their parent, so a backward pass meets each node

@@ -47,7 +47,7 @@ def embedding_fingerprint(schema: Schema, dim: int, seed: int) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Embedding:
     """Frozen bundle of schema, token vectors, and attribute matrices.
 
@@ -56,6 +56,7 @@ class Embedding:
     inverse is its transpose. Both are stored as read-only views, so every
     operation, rule set and vector shares the one fixed set of arrays. dim
     and fingerprint are read off the arrays and the seed, never set.
+    Equality and hashing are by identity, as arrays have no one truth value.
     """
 
     schema: Schema
@@ -83,30 +84,45 @@ class Embedding:
         return embedding_fingerprint(self.schema, self.dim, self.seed)
 
     @cached_property
-    def child_probes(self) -> np.ndarray:
-        """Token probes of every child slot, shape (n_attributes * n_tokens, dim).
+    def probe_depth(self) -> int:
+        """The longest path slot_probes keeps a table for.
 
-        Row a * n_tokens + t is token_vectors[t] @ attribute_matrices[a].T, so
-        child_probes @ u scores token t in child slot a of u without rotating
-        u. Built on first use and kept read-only, so making or loading an
-        embedding never pays for it.
+        The largest K >= 1 whose tables, one per path of length <= K, fit in
+        one d x d matrix together: (1 + m + ... + m^K) * m * n_tokens <= d
+        rows for m attributes. 1 when no K fits.
         """
-        probes = self.token_vectors @ self.attribute_matrices.transpose(0, 2, 1)
-        return read_only(probes.reshape(-1, self.dim))
+        m = self.schema.n_attributes
+        rows = m * self.schema.n_tokens
+        depth, paths = 1, 1 + m
+        while (paths + m ** (depth + 1)) * rows <= self.dim:
+            depth += 1
+            paths += m**depth
+        return depth
 
-    def grandchild_probes(self, attr: int) -> np.ndarray:
-        """Token probes of the child slots of child slot attr, shape (n_attributes * n_tokens, dim).
+    def slot_probes(self, path: Sequence[int | str] = ()) -> np.ndarray:
+        """Token probes of the child slots of the node at `path`, shape (n_attributes * n_tokens, dim).
 
-        Row b * n_tokens + t is child_probes[b * n_tokens + t] @
-        attribute_matrices[attr].T, so grandchild_probes(attr) @ u scores the
-        child slots of M_attr^T u without rotating u. Built per attribute on
-        first use and kept read-only.
+        path is a sequence of attribute names or indices, at most probe_depth
+        long, else ValueError; an unknown attribute raises KeyError. Row
+        b * n_tokens + t is token t seen through M_b^T M_pk^T ... M_p1^T, so
+        slot_probes(path) @ u scores token t in child slot b of the node that
+        path reaches from u, without rotating u. A path's table is its tail's
+        times M_p1^T, one product. Each is built on first use and kept
+        read-only, keyed by attribute indices, so making or loading an
+        embedding never pays for one.
         """
-        table = self._grandchild_probes.get(attr)
-        if table is None:
-            table = read_only(self.child_probes @ self.attribute_matrices[attr].T)
-            self._grandchild_probes[attr] = table
-        return table
+        key = tuple(self.schema.attribute_index(a) for a in path)
+        if len(key) > self.probe_depth:
+            raise ValueError(f"path of {len(key)} steps is longer than probe_depth {self.probe_depth}")
+        tables = self._slot_probes
+        if key not in tables:
+            # every tail of a kept path is kept: build up from the longest one
+            i = 1
+            while key[i:] not in tables:
+                i += 1
+            for j in range(i - 1, -1, -1):
+                tables[key[j:]] = read_only(tables[key[j + 1 :]] @ self.attribute_matrices[key[j]].T)
+        return tables[key]
 
     def bind(self, attr: int | str, x: np.ndarray) -> np.ndarray:
         """M_attr @ x, x's term under attr; the result is read, never written.
@@ -129,8 +145,9 @@ class Embedding:
         return self.attribute_matrices[a] @ x
 
     @cached_property
-    def _grandchild_probes(self) -> dict[int, np.ndarray]:
-        return {}
+    def _slot_probes(self) -> dict[tuple[int, ...], np.ndarray]:
+        probes = self.token_vectors @ self.attribute_matrices.transpose(0, 2, 1)
+        return {(): read_only(probes.reshape(-1, self.dim))}
 
     @cached_property
     def _leaf_images(self) -> dict[tuple[int, int], np.ndarray]:

@@ -28,7 +28,7 @@ def arg_attributes(schema: Schema) -> list[str]:
 
 
 def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
-    """Look up each pattern's token indices; the probes and the binding are the embedding's own."""
+    """Look up each rule's token indices; the probes and the binding are the embedding's own."""
     args = arg_attributes(e.schema)
     if not args:
         raise ArityExceededError("schema has no argument attributes")
@@ -44,7 +44,7 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
         rules.append(
             Rule(
                 pattern=tuple(e.schema.token_index(t) for t in pattern),
-                replacement=e.token_vector(replacement),
+                replacement=e.schema.token_index(replacement),
             )
         )
     return RuleSet(

@@ -1,11 +1,11 @@
 """Rewriting engine over embedding-space slots.
 
 The engine never sees token names, trees, or schemas, only slot vectors,
-compiled rules, the token probe matrix and the embedding's binding. Each
-slot's head label is read once, by the decoder's THRESHOLD probe, when the
-slot is created; a window matches a rule when its head labels spell the
-rule's pattern, and a replacement binds each window member under its
-argument attribute, the node formula of bt_encode.
+compiled rules, the token probe matrix and the embedding's binding. An
+input slot's head label is read once, by the decoder's THRESHOLD probe; a
+window matches a rule when its head labels spell the rule's pattern, and a
+replacement binds each window member under its argument attribute, the node
+formula of bt_encode, and takes the rule's token as its head.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from .vectors import BTVector, best_token, checked_data
 
 @dataclass(frozen=True)
 class Rule:
-    """Compiled rule: pattern token indices and the replacement token vector."""
+    """Compiled rule: pattern token indices and the replacement token index."""
 
     pattern: tuple[int, ...]
-    replacement: np.ndarray
+    replacement: int
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,15 @@ def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -
 
     The new slot is the replacement token plus each consumed slot bound under
     its argument attribute, so the parse tree builds up inside the vector.
-    The new slot's head label is its best token probe above THRESHOLD, read once, here.
+    Its head label is the replacement token the rule wrote, not a probe,
+    which the bound members' cross terms could mislead.
     """
     m = len(rule.pattern)
-    new = rule.replacement.copy()
+    new = ruleset.head_probes[rule.replacement].copy()
     for k in range(m):
         new += ruleset.bind(k, state.slots[j + k])
     state.slots[j : j + m] = [new]
-    state.heads[j : j + m] = [best_token(ruleset.head_probes @ new)]
+    state.heads[j : j + m] = [rule.replacement]
     state.steps += 1
 
 

@@ -13,16 +13,19 @@ from btembed import (
     Schema,
     SchemaMismatchError,
     Tree,
+    balanced_parens_schema,
     bt_encode,
     decode,
     decode_token,
     decode_with_stats,
+    encode_list,
     load_embedding,
     make_embedding,
     make_sweep_schema,
     random_tree,
     save_embedding,
 )
+from btembed.embedding import chain_tree
 
 
 class TestDecodeToken:
@@ -75,7 +78,7 @@ class TestDecodeToken:
         tree, stats = decode_with_stats(e, e.wrap(np.array([0.0, 1.0])))
         assert tree == Tree(2)
         assert (stats.visits, stats.nodes) == (2, 1)
-        np.testing.assert_array_equal(e.child_probes, -e.token_vectors)
+        np.testing.assert_array_equal(e.slot_probes(), -e.token_vectors)
 
 
 def budget(e: Embedding, v) -> int:
@@ -141,6 +144,14 @@ class TestProbeBeforeRotate:
             wrong += want[0] != tree  # noisy's, from the last pass
         assert wrong >= 20
 
+    def test_lists(self, emb_list):
+        # list_edit's schema and d, where the tables reach 9 levels deep
+        rng = np.random.default_rng(61)
+        for n in range(1, 17):
+            for _ in range(3):
+                v = encode_list(emb_list, [int(t) for t in rng.integers(100, size=n)])
+                assert outcome(decode_with_stats, emb_list, v) == outcome(rotate_then_probe, emb_list, v)
+
     def test_noise_that_trips_the_budgets(self, emb_small):
         # norm-10 noise trips 2||v||^2 + 1 and norm-30 noise the d cap
         rng = np.random.default_rng(58)
@@ -156,36 +167,115 @@ class TestProbeBeforeRotate:
         assert capped == {False, True}
 
 
+def root_probes(e: Embedding) -> np.ndarray:
+    """The root's slot table as the decoder built it before path tables: row
+    a * n_tokens + t is token t seen through M_a^T."""
+    return (e.token_vectors @ e.attribute_matrices.transpose(0, 2, 1)).reshape(-1, e.dim)
+
+
+def rotate(e: Embedding, path, u: np.ndarray) -> np.ndarray:
+    """u rotated into the node that path reaches, one M^T product per step."""
+    for a in path:
+        u = e.attribute_matrices[a].T @ u
+    return u
+
+
+def counting(e: Embedding) -> tuple[Embedding, list[int]]:
+    """e with attribute matrices that count their matrix-vector products, the
+    decoder's rotations; the table builds multiply matrices by matrices."""
+    count = [0]
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            count[0] += ufunc is np.matmul and np.ndim(inputs[1]) == 1
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    return Embedding(e.schema, e.seed, e.token_vectors, e.attribute_matrices.view(Counting)), count
+
+
+def shaped(schema: Schema, d: int) -> Embedding:
+    """An embedding of the right shapes whose arrays are never read, to ask its probe_depth."""
+    m = schema.n_attributes
+    return Embedding(schema, 0, np.zeros((schema.n_tokens, d)), np.broadcast_to(np.eye(d), (m, d, d)))
+
+
+@pytest.fixture(scope="module")
+def emb_list():
+    # the list_edit schema and dim: 101 tokens, one attribute, probe_depth 8
+    return make_embedding(make_sweep_schema(100, 1), 1000, 3)
+
+
+def internal_below_root(tree: Tree) -> int:
+    return len({p[:-1] for p, _ in tree.paths() if len(p) > 1})
+
+
+class TestRotations:
+    def test_lists_within_probe_depth_rotate_nothing(self, emb_list):
+        # an n-list has n - 2 internal nodes below the root; from the root's
+        # frame the tables reach probe_depth + 1 = 9 levels, and the 8th node
+        # is the next anchor, whose frame takes 8 rotations
+        e, count = counting(emb_list)
+        assert e.probe_depth == 8
+        rng = np.random.default_rng(62)
+        for n in range(1, 17):
+            tokens = [int(t) for t in rng.integers(100, size=n)]
+            count[0] = 0
+            assert decode(e, encode_list(emb_list, tokens)) == chain_tree(emb_list, tokens)
+            assert count[0] == (0 if n <= 9 else 8)
+
+    def test_at_most_one_rotation_per_internal_node(self, emb_small):
+        # with probe_depth 1 every internal node below the root is rotated
+        # into, as before; deeper tables rotate fewer
+        narrow = make_embedding(emb_small.schema, 160, 2)
+        rng = np.random.default_rng(63)
+        for base, depth in ((narrow, 1), (emb_small, 3)):
+            e, count = counting(base)
+            assert e.probe_depth == depth
+            for _ in range(10):
+                tree = random_tree(int(rng.integers(1, 9)), 10, 2, rng)
+                count[0] = 0
+                decoded = decode(e, bt_encode(base, tree))
+                if depth == 1:
+                    assert count[0] == internal_below_root(decoded)
+                else:
+                    assert count[0] <= internal_below_root(decoded)
+
+
 class TestChildProbes:
     def test_rows_are_rotated_token_probes(self, emb_small):
         n_tokens = emb_small.schema.n_tokens
         for a in range(emb_small.schema.n_attributes):
             for t in range(n_tokens):
                 np.testing.assert_allclose(
-                    emb_small.child_probes[a * n_tokens + t],
+                    emb_small.slot_probes()[a * n_tokens + t],
                     emb_small.token_vectors[t] @ emb_small.attribute_matrices[a].T,
                     rtol=0,
                     atol=1e-12,
                 )
+        np.testing.assert_array_equal(emb_small.slot_probes(), root_probes(emb_small))
 
     def test_built_on_first_use_and_read_only(self, tmp_path):
         e = make_embedding(make_sweep_schema(3, 2), 16, 1)
         save_embedding(e, tmp_path / "e.bte")
         for emb in (e, load_embedding(tmp_path / "e.bte")):
-            assert "child_probes" not in emb.__dict__
-            probes = emb.child_probes
-            assert emb.child_probes is probes
+            assert "_slot_probes" not in emb.__dict__
+            probes = emb.slot_probes()
+            assert emb.slot_probes(()) is probes
             with pytest.raises(ValueError):
                 probes[0, 0] = 1.0
 
 
 class TestGrandchildProbes:
     def test_rows_score_the_rotated_child_slots(self, emb_small):
+        # a one-step table is the root's times M_a^T, bit for bit as before
         u = bt_encode(emb_small, random_tree(6, 10, 2, np.random.default_rng(59))).data
         for a in range(emb_small.schema.n_attributes):
+            np.testing.assert_array_equal(
+                emb_small.slot_probes((a,)), root_probes(emb_small) @ emb_small.attribute_matrices[a].T
+            )
             np.testing.assert_allclose(
-                emb_small.grandchild_probes(a) @ u,
-                emb_small.child_probes @ (emb_small.attribute_matrices[a].T @ u),
+                emb_small.slot_probes((a,)) @ u,
+                emb_small.slot_probes() @ (emb_small.attribute_matrices[a].T @ u),
                 rtol=0,
                 atol=1e-12,
             )
@@ -194,12 +284,56 @@ class TestGrandchildProbes:
         e = make_embedding(make_sweep_schema(3, 2), 16, 1)
         save_embedding(e, tmp_path / "e.bte")
         for emb in (e, load_embedding(tmp_path / "e.bte")):
-            assert "_grandchild_probes" not in emb.__dict__
-            table = emb.grandchild_probes(1)
-            assert emb.grandchild_probes(1) is table
-            assert list(emb._grandchild_probes) == [1]
+            assert "_slot_probes" not in emb.__dict__
+            table = emb.slot_probes((1,))
+            assert emb.slot_probes(("arg1",)) is table
+            # attributes resolve as bind's do, and a bad one stores nothing
+            for bad in ((-1,), (2,), ("arg2",)):
+                with pytest.raises(KeyError):
+                    emb.slot_probes(bad)
+            assert list(emb._slot_probes) == [(), (1,)]
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
+
+
+class TestSlotProbes:
+    def test_paths_score_the_rotated_slots(self, emb_small, emb_list, parens_embedding):
+        rng = np.random.default_rng(60)
+        for e in (emb_small, emb_list, parens_embedding):
+            u = rng.standard_normal(e.dim)
+            u *= 4.0 / np.linalg.norm(u)
+            for _ in range(12):
+                path = tuple(int(a) for a in rng.integers(e.schema.n_attributes, size=rng.integers(e.probe_depth + 1)))
+                np.testing.assert_allclose(
+                    e.slot_probes(path) @ u, e.slot_probes() @ rotate(e, path, u), rtol=0, atol=1e-12
+                )
+
+    def test_every_tail_is_kept(self, emb_small):
+        e = make_embedding(emb_small.schema, 192, 2)
+        assert e.probe_depth == 2
+        e.slot_probes((1, 0))
+        assert list(e._slot_probes) == [(), (0,), (1, 0)]
+        with pytest.raises(ValueError, match="longer than probe_depth 2"):
+            e.slot_probes((0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "schema, d, depth",
+        [
+            (make_sweep_schema(100, 4), 2000, 1),  # tree_roundtrip: no K fits
+            (balanced_parens_schema(), 1000, 2),  # vector_parse
+            (make_sweep_schema(100, 1), 1000, 8),  # list_edit
+            (Schema(("a", "next"), ("next",)), 16, 7),
+        ],
+    )
+    def test_probe_depth_keeps_the_tables_in_one_matrix(self, schema, d, depth):
+        m, rows = schema.n_attributes, schema.n_attributes * schema.n_tokens
+
+        def fits(k):
+            return sum(m**j for j in range(k + 1)) * rows <= d
+
+        assert shaped(schema, d).probe_depth == depth
+        assert not fits(depth + 1)
+        assert fits(depth) or depth == 1
 
 
 def shift_chain(d: int) -> Embedding:

@@ -120,6 +120,15 @@ class TestConstruction:
         np.testing.assert_array_equal(a.attribute_matrices, b.attribute_matrices)
         assert a.fingerprint == b.fingerprint
 
+    def test_equality_and_hash_are_identity(self):
+        # array fields have no one truth value, so == compares identity
+        s = make_sweep_schema(3, 2)
+        a, b = make_embedding(s, 4, 0), make_embedding(s, 4, 0)
+        assert (a == b) is False
+        assert (a == a) is True
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_seed_changes_everything(self):
         s = make_sweep_schema(6, 2)
         a = make_embedding(s, 64, 0)
