@@ -53,8 +53,8 @@ def decode(e: Embedding, v: BTVector) -> Tree | None:
 def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeStats]:
     """Decode v and count the work.
 
-    Each accepted node goes into one record as (label, attr, parent, depth),
-    parents before children, and the tree and stats are built from it. A
+    Each accepted node goes into one record as (label, attr, parent),
+    parents before children, and the tree is Tree.from_parents(record). A
     node's child slots are scored by slot_probes(path) @ frame, where frame
     is an anchor's vector M^T-rotated from the root and path leads from the
     anchor to the node; the root is the first anchor. A node whose path is
@@ -74,7 +74,8 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
     root = best_token(e.token_vectors @ data)
     if root is None:
         return None, DecodeStats(visits=1, probes=n_tokens)
-    record = [(root, -1, -1, 0)]
+    record = [(root, -1, -1)]
+    depths = [0]
     frames = {0: data}
 
     def make_frame(i: int) -> None:
@@ -83,7 +84,7 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
             way.append(i)
             i = record[i][2]
         for j in reversed(way):
-            _, attr, parent, _ = record[j]
+            _, attr, parent = record[j]
             frames[j] = e.attribute_matrices[attr].T @ frames[parent]
 
     stack = [(0, 0, (), e.slot_probes() @ data)]
@@ -91,7 +92,6 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
         if len(record) > budget:
             raise BudgetExceededError(f"decode accepted over min(d, 2|v|^2 + 1) = {budget} nodes")
         i, anchor, path, scores = stack.pop()
-        depth = record[i][3]
         for attr, slot in enumerate(scores.reshape(n_attrs, n_tokens)):
             label = best_token(slot)
             if label is not None:
@@ -100,14 +100,9 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
                     anchor, path = i, ()
                 child = (*path, attr)
                 stack.append((len(record), anchor, child, e.slot_probes(child) @ frames[anchor]))
-                record.append((label, attr, i, depth + 1))
+                record.append((label, attr, i))
+                depths.append(depths[i] + 1)
 
-    # children come after their parent, so a backward pass meets each node
-    # with its subtrees done; a parent's children sit together in attr order
-    subs: list[list[tuple[int, Tree]]] = [[] for _ in record]
-    for i in range(len(record) - 1, 0, -1):
-        label, attr, parent, _ = record[i]
-        subs[parent].append((attr, Tree(label, tuple(reversed(subs[i])))))
     visits = 1 + n_attrs * len(record)
-    stats = DecodeStats(visits, visits * n_tokens, len(record), max(r[3] for r in record))
-    return Tree(root, tuple(reversed(subs[0]))), stats
+    stats = DecodeStats(visits, visits * n_tokens, len(record), max(depths))
+    return Tree.from_parents(record), stats

@@ -10,6 +10,7 @@ orthogonal to each other, which is what makes decoding possible.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +40,12 @@ def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * signs
 
 
+def _check_seed(seed: int) -> None:
+    """TypeError unless seed is an integer, ValueError unless it fits in 64 unsigned bits."""
+    if not 0 <= operator.index(seed) <= _MAX_SEED:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+
+
 def embedding_fingerprint(schema: Schema, dim: int, seed: int) -> str:
     """Hex digest identifying an embedding; arrays are determined by these inputs."""
     h = hashlib.sha256()
@@ -55,7 +62,8 @@ class Embedding:
     has shape (n_attributes, dim, dim); each slice is orthogonal, so its
     inverse is its transpose. Both are stored as read-only views, so every
     operation, rule set and vector shares the one fixed set of arrays. dim
-    and fingerprint are read off the arrays and the seed, never set.
+    and fingerprint are read off the arrays and the seed, never set. The
+    seed is an integer in 0..2**64 - 1, else TypeError or ValueError.
     Equality and hashing are by identity, as arrays have no one truth value.
     """
 
@@ -65,6 +73,7 @@ class Embedding:
     attribute_matrices: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         for name in ("token_vectors", "attribute_matrices"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
         n, m = self.schema.n_tokens, self.schema.n_attributes
@@ -176,8 +185,7 @@ def make_embedding(schema: Schema, dim: int, seed: int) -> Embedding:
     """
     if dim < 2:
         raise DimensionTooSmallError(f"dim must be at least 2, got {dim}")
-    if not 0 <= seed <= _MAX_SEED:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     tok = rng.standard_normal((schema.n_tokens, dim))
     tok /= np.linalg.norm(tok, axis=1, keepdims=True)
@@ -215,15 +223,9 @@ def bt_encode(e: Embedding, tree: Tree) -> BTVector:
 
 
 def chain_tree(e: Embedding, tokens: Sequence[int | str]) -> Tree:
-    """A non-empty token sequence as a tree: each token's next child is the token after it."""
-    if len(tokens) == 0:
-        raise ValueError("chain_tree needs a non-empty sequence")
+    """A token sequence as a chain, each token's next child the one after it; empty raises ValueError."""
     nxt = e.schema.attribute_index(NEXT)
-    *rest, last = [e.schema.token_index(t) for t in tokens]
-    node = Tree(last)
-    for t in reversed(rest):
-        node = Tree.make(t, {nxt: node})
-    return node
+    return Tree.from_parents([(e.schema.token_index(t), nxt, i - 1) for i, t in enumerate(tokens)])
 
 
 def cardinality_estimate(v: BTVector) -> int:

@@ -107,27 +107,19 @@ def random_tree(size: int, n_labels: int, n_attributes: int, rng: np.random.Gene
 
     Open slots are (existing node, unused attribute) pairs, so every shape
     reachable under the one-child-per-attribute constraint has positive
-    probability. A child's index exceeds its parent's, so nodes are built in
-    reverse index order.
+    probability. Each node's (label, attr, parent) row is appended as it is
+    drawn, after its parent's, and Tree.from_parents builds the tree.
     """
     for name, value in (("size", size), ("n_labels", n_labels), ("n_attributes", n_attributes)):
         if value < 1:
             raise ValueError(f"random_tree needs {name} >= 1, got {value}")
-    labels = [int(rng.integers(n_labels))]
-    children: list[dict[int, int]] = [{}]
+    rows = [(int(rng.integers(n_labels)), -1, -1)]
     open_slots = [(0, a) for a in range(n_attributes)]
     for _ in range(size - 1):
-        pick = int(rng.integers(len(open_slots)))
-        parent, attr = open_slots.pop(pick)
-        labels.append(int(rng.integers(n_labels)))
-        children.append({})
-        node = len(labels) - 1
-        children[parent][attr] = node
-        open_slots.extend((node, a) for a in range(n_attributes))
-    trees: list[Tree] = [Tree(0)] * len(labels)
-    for i in reversed(range(len(labels))):
-        trees[i] = Tree.make(labels[i], {a: trees[j] for a, j in children[i].items()})
-    return trees[0]
+        parent, attr = open_slots.pop(int(rng.integers(len(open_slots))))
+        open_slots.extend((len(rows), a) for a in range(n_attributes))
+        rows.append((int(rng.integers(n_labels)), attr, parent))
+    return Tree.from_parents(rows)
 
 
 def _roundtrip(e: Embedding, tree: Tree) -> bool:

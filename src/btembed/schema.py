@@ -12,14 +12,13 @@ import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .exceptions import DuplicateNameError, EmptyAlphabetError, NonReflexiveError
 
 # The attribute that chains lists (encode_list, push).
 NEXT = "next"
 
-N = TypeVar("N")
 T = TypeVar("T")
 
 
@@ -115,8 +114,8 @@ class Tree:
 
     Children are keyed by attribute index, at most one child per attribute,
     and stored sorted by attribute index so structurally equal trees compare
-    equal. Instances are immutable. Equality, hashing, repr and with_subtree
-    use explicit stacks, so depth is bounded only by memory.
+    equal. Instances are immutable; from_parents builds one from flat parent
+    rows. No method recurses, so depth is bounded only by memory.
     """
 
     label: int
@@ -137,6 +136,26 @@ class Tree:
         """Build a node from an unordered attribute-to-subtree mapping."""
         items = tuple(sorted((children or {}).items()))
         return cls(label, items)
+
+    @classmethod
+    def from_parents(cls, rows: Sequence[tuple[int, int, int]]) -> "Tree":
+        """Build a tree bottom-up through make from (label, attr, parent) rows.
+
+        Row 0 is the root, whose attr and parent are ignored. ValueError for
+        no rows, a parent that is not an earlier row, or two rows in one
+        (parent, attr) slot.
+        """
+        if not rows:
+            raise ValueError("a tree needs a non-empty sequence of rows")
+        kids: list[dict[int, Tree]] = [{} for _ in rows]
+        for i in range(len(rows) - 1, 0, -1):
+            label, attr, parent = rows[i]
+            if not 0 <= parent < i:
+                raise ValueError(f"row {i} has parent {parent}, not an earlier row")
+            if attr in kids[parent]:
+                raise ValueError(f"row {parent} has two children under attribute {attr}")
+            kids[parent][attr] = cls.make(label, kids[i])
+        return cls.make(rows[0][0], kids[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tree):
@@ -169,8 +188,19 @@ class Tree:
         return None
 
     def fold(self, combine: Callable[["Tree", list[T]], T]) -> T:
-        """Combine the tree bottom-up: combine(node, results of its children, in order)."""
-        return fold_postorder(self, lambda node: [sub for _, sub in node.children], combine)
+        """Combine the tree in postorder: combine(node, results of its children, in order)."""
+        stack = [(self, iter(self.children), [])]
+        while True:
+            node, pending, results = stack[-1]
+            for _, sub in pending:
+                stack.append((sub, iter(sub.children), []))
+                break
+            else:
+                stack.pop()
+                value = combine(node, results)
+                if not stack:
+                    return value
+                stack[-1][2].append(value)
 
     def node_count(self) -> int:
         return self.fold(lambda node, counts: 1 + sum(counts))
@@ -223,8 +253,10 @@ class Tree:
     @classmethod
     def from_dict(cls, raw: dict, schema: Schema) -> "Tree":
         """Read the named mapping form, raising ValueError on a malformed node."""
-
-        def children(node: object) -> list:
+        rows: list[tuple[int, int, int]] = []
+        stack = [(raw, -1, -1)]
+        while stack:
+            node, attr, parent = stack.pop()
             if not isinstance(node, dict):
                 raise ValueError("tree node must be a JSON object")
             if not isinstance(node.get("label"), str):
@@ -232,35 +264,6 @@ class Tree:
             kids_raw = node.get("children", {})
             if not isinstance(kids_raw, dict):
                 raise ValueError("tree children must be a JSON object")
-            return list(kids_raw.values())
-
-        def build(node: dict, subs: list[Tree]) -> Tree:
-            names = node.get("children", {})
-            items = {schema.attribute_index(a): sub for a, sub in zip(names, subs)}
-            return cls.make(schema.token_index(node["label"]), items)
-
-        return fold_postorder(raw, children, build)
-
-
-def fold_postorder(
-    root: N, children: Callable[[N], Iterable[N]], combine: Callable[[N, list[T]], T]
-) -> T:
-    """Fold a tree bottom-up with an explicit stack, so depth is not bounded by recursion.
-
-    children(node) gives a node's children. They are drawn one at a time, and
-    each child's subtree is folded before the next is drawn, so a generator
-    discovers the tree in depth-first order. combine(node, results) gets the
-    children's results in that order and returns the node's own.
-    """
-    stack = [(root, iter(children(root)), [])]
-    while True:
-        node, pending, results = stack[-1]
-        for child in pending:
-            stack.append((child, iter(children(child)), []))
-            break
-        else:
-            stack.pop()
-            value = combine(node, results)
-            if not stack:
-                return value
-            stack[-1][2].append(value)
+            rows.append((schema.token_index(node["label"]), attr, parent))
+            stack += ((sub, schema.attribute_index(a), len(rows) - 1) for a, sub in kids_raw.items())
+        return cls.from_parents(rows)

@@ -97,10 +97,13 @@ class TestConstruction:
             Embedding(make_sweep_schema(10, 2), 0, np.zeros(tok_shape), np.zeros(mats_shape))
 
     def test_seed_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_embedding(make_sweep_schema(4, 1), 16, -1)
-        with pytest.raises(ValueError):
-            make_embedding(make_sweep_schema(4, 1), 16, 2**64)
+        # checked where an embedding is made, before any draw or fingerprint
+        schema = make_sweep_schema(4, 1)
+        for seed, error in ((-1, ValueError), (2**64, ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                make_embedding(schema, 16, seed)
+            with pytest.raises(error):
+                Embedding(schema, seed, np.zeros((5, 4)), np.zeros((1, 4, 4)))
 
     def test_token_vectors_unit_norm(self, emb_small):
         norms = np.linalg.norm(emb_small.token_vectors, axis=1)

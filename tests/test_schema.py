@@ -129,6 +129,24 @@ class TestTree:
         with pytest.raises(ValueError):
             Tree(0, ((1, Tree(1)), (1, Tree(2))))
 
+    def test_negative_attribute_rejected(self):
+        with pytest.raises(ValueError, match="attribute index must be non-negative"):
+            Tree(0, ((-1, Tree(1)),))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "non-empty"),
+            ([(0, -1, -1), (1, 0, -1)], "not an earlier row"),
+            ([(0, -1, -1), (1, 0, 1)], "not an earlier row"),
+            ([(0, -1, -1), (1, 0, 2), (2, 1, 0)], "not an earlier row"),
+            ([(0, -1, -1), (1, 0, 0), (2, 0, 0)], "two children under attribute 0"),
+        ],
+    )
+    def test_from_parents_rejects_bad_rows(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Tree.from_parents(rows)
+
     def test_negative_label_rejected(self):
         with pytest.raises(ValueError):
             Tree(-1)
@@ -202,6 +220,10 @@ class TestTreeDictProperties:
     def test_round_trip_through_json(self, tree):
         s = small_schema()
         assert Tree.from_dict(json.loads(json.dumps(tree.to_dict(s))), s) == tree
+        # preorder rows, each naming its parent by the row index of its path
+        index = {path: i for i, (path, _) in enumerate(tree.paths())}
+        rows = [(label, path[-1] if path else -1, index[path[:-1]]) for path, label in tree.paths()]
+        assert Tree.from_parents(rows) == tree
 
     @settings(derandomize=True, database=None, max_examples=10, deadline=None)
     @given(depth=st.integers(1000, 6000), seed=st.integers(0, 2**32 - 1))
