@@ -52,7 +52,6 @@ from .harness import (
 )
 from .io import load_embedding, load_vector, save_embedding, save_vector
 from .parser import (
-    ParseState,
     Rule,
     RuleSet,
     apply_replacement,

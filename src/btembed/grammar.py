@@ -1,9 +1,11 @@
 """Grammar compilation, the symbolic reference parser, and grammar files.
 
-A grammar is a list of (pattern tokens, replacement token) rules. Compilation
-turns each pattern into the token indices the engine compares its slots' head
-labels with; the symbolic parser applies the same scan order to plain tokens
-and is the oracle the vector engine is measured against.
+A grammar is a list of (pattern tokens, replacement token) rules.
+compile_grammar turns each rule into the token indices of a parser.Rule,
+once for both parsers: the vector engine compares its slots' head labels
+with them, and the symbolic parser runs the same parser.rewrites schedule
+over plain tokens, building trees. It is the oracle the vector engine is
+measured against.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .embedding import Embedding
-from .exceptions import ArityExceededError, StepBudgetExceededError
-from .parser import Rule, RuleSet, parse_vectors, step_budget
+from .exceptions import ArityExceededError
+from .parser import Rule, RuleSet, parse_vectors, rewrites
 from .schema import NEXT, Schema, Tree
 from .vectors import BTVector
 
@@ -27,32 +29,33 @@ def arg_attributes(schema: Schema) -> list[str]:
     return [a for a in schema.attributes if a.startswith("arg")]
 
 
-def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
-    """Look up each rule's token indices; the probes and the binding are the embedding's own."""
-    args = arg_attributes(e.schema)
-    if not args:
+def compile_grammar(schema: Schema, grammar: GrammarRules) -> tuple[Rule, ...]:
+    """Each rule's token indices, checked against the schema's argument attributes.
+
+    ArityExceededError when the schema has no arg* attributes or a pattern is
+    longer than it has; ValueError for an empty pattern.
+    """
+    n_args = len(arg_attributes(schema))
+    if not n_args:
         raise ArityExceededError("schema has no argument attributes")
     rules = []
     for pattern, replacement in grammar:
         if len(pattern) == 0:
             raise ValueError("empty rule pattern")
-        if len(pattern) > len(args):
+        if len(pattern) > n_args:
             raise ArityExceededError(
                 f"pattern {tuple(pattern)} needs {len(pattern)} argument "
-                f"attributes, schema provides {len(args)}"
+                f"attributes, schema provides {n_args}"
             )
-        rules.append(
-            Rule(
-                pattern=tuple(e.schema.token_index(t) for t in pattern),
-                replacement=e.schema.token_index(replacement),
-            )
-        )
-    return RuleSet(
-        rules=tuple(rules),
-        head_probes=e.token_vectors,
-        bind=lambda k, slot: e.bind(args[k], slot),
-        fingerprint=e.fingerprint,
-    )
+        rules.append(Rule(tuple(schema.token_index(t) for t in pattern), schema.token_index(replacement)))
+    return tuple(rules)
+
+
+def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
+    """The grammar's compiled rules; the probes and the binding are the embedding's own."""
+    rules = compile_grammar(e.schema, grammar)
+    args = arg_attributes(e.schema)
+    return RuleSet(rules, e.token_vectors, lambda k, slot: e.bind(args[k], slot), e.fingerprint)
 
 
 def parse(e: Embedding, tokens: Sequence[str], ruleset: RuleSet) -> BTVector:
@@ -62,38 +65,20 @@ def parse(e: Embedding, tokens: Sequence[str], ruleset: RuleSet) -> BTVector:
 
 
 def symbolic_parse(grammar: GrammarRules, tokens: Sequence[str], schema: Schema) -> Tree | None:
-    """Reference shift-reduce parser with the engine's exact scan order.
+    """Reference parser: the engine's rewrites, applied to trees.
 
     Returns the parse tree, with window members bound under the argument
-    attributes, or None when rewriting halts on several slots. Raises
-    StepBudgetExceededError past the engine's step_budget, as the engine does.
+    attributes, or None when rewriting halts on several slots or there are no
+    tokens. Raises the errors of compile_grammar, and StepBudgetExceededError
+    past the engine's step_budget, as the engine does.
     """
+    rules = compile_grammar(schema, grammar)
     arg_idx = [schema.attribute_index(a) for a in arg_attributes(schema)]
-    slots: list[Tree] = [Tree(schema.token_index(t)) for t in tokens]
-    if not slots:
-        return None
-    compiled = [
-        (tuple(schema.token_index(t) for t in pattern), schema.token_index(replacement))
-        for pattern, replacement in grammar
-    ]
-    budget, steps = step_budget(len(slots), [p for p, _ in compiled]), 0
-    while True:
-        hit = False
-        for pattern, replacement in compiled:
-            m = len(pattern)
-            for j in range(len(slots) - m + 1):
-                if all(slots[j + k].label == pattern[k] for k in range(m)):
-                    kids = {arg_idx[k]: slots[j + k] for k in range(m)}
-                    slots[j : j + m] = [Tree.make(replacement, kids)]
-                    steps += 1
-                    if steps > budget:
-                        raise StepBudgetExceededError(f"exceeded {budget} rewrite steps")
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            return slots[0] if len(slots) == 1 else None
+    slots = [Tree(schema.token_index(t)) for t in tokens]
+    for rule, j in rewrites([s.label for s in slots], rules):
+        m = len(rule.pattern)
+        slots[j : j + m] = [Tree.make(rule.replacement, dict(zip(arg_idx, slots[j : j + m])))]
+    return slots[0] if len(slots) == 1 else None
 
 
 def balanced_parens_grammar() -> list[tuple[tuple[str, ...], str]]:

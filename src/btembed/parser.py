@@ -1,17 +1,20 @@
-"""Rewriting engine over embedding-space slots.
+"""Rewriting engine over embedding-space slots, and the one rewrite schedule.
 
 The engine never sees token names, trees, or schemas, only slot vectors,
 compiled rules, the token probe matrix and the embedding's binding. An
-input slot's head label is read once, by the decoder's THRESHOLD probe; a
-window matches a rule when its head labels spell the rule's pattern, and a
-replacement binds each window member under its argument attribute, the node
-formula of bt_encode, and takes the rule's token as its head.
+input slot's head label is read once, by the decoder's THRESHOLD probe. The
+schedule, rewrites, picks every rewrite from head labels alone: a window
+matches a rule when its labels spell the rule's pattern, and a rewritten
+slot's label is the rule's token, not a probe, which the bound members'
+cross terms could mislead. parse_vectors applies each rewrite to vectors,
+binding each window member under its argument attribute (the node formula
+of bt_encode); grammar.symbolic_parse applies the same rewrites to trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,40 +43,22 @@ class RuleSet:
     fingerprint: str
 
 
-@dataclass
-class ParseState:
-    """Mutable slot list, each slot's head label, and a step counter."""
-
-    slots: list[np.ndarray]
-    heads: list[int | None]
-    steps: int = 0
-
-    @classmethod
-    def start(cls, slots: list[np.ndarray], ruleset: RuleSet) -> "ParseState":
-        """Label each input slot by its best token probe above THRESHOLD."""
-        return cls(slots, [best_token(ruleset.head_probes @ s) for s in slots])
+def match_window(rule: Rule, heads: list[int | None], j: int) -> bool:
+    """Whether the head labels from j on spell the rule's pattern."""
+    return tuple(heads[j : j + len(rule.pattern)]) == rule.pattern
 
 
-def match_window(rule: Rule, state: ParseState, j: int) -> bool:
-    """Whether the head labels of the slots from j on spell the rule's pattern."""
-    return tuple(state.heads[j : j + len(rule.pattern)]) == rule.pattern
-
-
-def apply_replacement(rule: Rule, state: ParseState, j: int, ruleset: RuleSet) -> None:
+def apply_replacement(rule: Rule, slots: list[np.ndarray], j: int, ruleset: RuleSet) -> None:
     """Collapse the window into one slot holding the replacement node.
 
     The new slot is the replacement token plus each consumed slot bound under
     its argument attribute, so the parse tree builds up inside the vector.
-    Its head label is the replacement token the rule wrote, not a probe,
-    which the bound members' cross terms could mislead.
     """
     m = len(rule.pattern)
     new = ruleset.head_probes[rule.replacement].copy()
     for k in range(m):
-        new += ruleset.bind(k, state.slots[j + k])
-    state.slots[j : j + m] = [new]
-    state.heads[j : j + m] = [rule.replacement]
-    state.steps += 1
+        new += ruleset.bind(k, slots[j + k])
+    slots[j : j + m] = [new]
 
 
 def step_budget(n: int, patterns: list[tuple[int, ...]]) -> int:
@@ -87,8 +72,30 @@ def step_budget(n: int, patterns: list[tuple[int, ...]]) -> int:
     return (n - 1) + u * (2 * n - 1)
 
 
+def rewrites(heads: list[int | None], rules: tuple[Rule, ...]) -> Iterator[tuple[Rule, int]]:
+    """Rewrite to fixpoint: first rule, leftmost window, restart after each hit.
+
+    Yields (rule, j) for each rewrite of the window at j; once the caller has
+    applied it, the window's labels in heads collapse to the rule's
+    replacement. Raises StepBudgetExceededError on the rewrite past
+    step_budget of the input heads.
+    """
+    budget, steps = step_budget(len(heads), [r.pattern for r in rules]), 0
+    while True:
+        windows = ((r, j) for r in rules for j in range(len(heads) - len(r.pattern) + 1))
+        hit = next(((r, j) for r, j in windows if match_window(r, heads, j)), None)
+        if hit is None:
+            return
+        steps += 1
+        if steps > budget:
+            raise StepBudgetExceededError(f"exceeded {budget} rewrite steps")
+        rule, j = hit
+        yield rule, j
+        heads[j : j + len(rule.pattern)] = [rule.replacement]
+
+
 def parse_vectors(slots: list[BTVector], ruleset: RuleSet) -> BTVector:
-    """Run rules to fixpoint: first rule, leftmost window, restart after each hit.
+    """Apply the rewrites of the slots' head labels to the slots themselves.
 
     Succeeds when exactly one slot remains and nothing matches. Raises
     NoParseError when stuck with several slots, StepBudgetExceededError once
@@ -99,21 +106,10 @@ def parse_vectors(slots: list[BTVector], ruleset: RuleSet) -> BTVector:
     if not slots:
         raise NoParseError("no input slots")
     fp, dim = ruleset.fingerprint, ruleset.head_probes.shape[1]
-    budget = step_budget(len(slots), [r.pattern for r in ruleset.rules])
-    state = ParseState.start([checked_data(v, fp, dim) for v in slots], ruleset)
-    while True:
-        hit = False
-        for rule in ruleset.rules:
-            for j in range(len(state.slots) - len(rule.pattern) + 1):
-                if match_window(rule, state, j):
-                    apply_replacement(rule, state, j, ruleset)
-                    if state.steps > budget:
-                        raise StepBudgetExceededError(f"exceeded {budget} rewrite steps")
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            if len(state.slots) == 1:
-                return BTVector(state.slots[0], fp)
-            raise NoParseError(f"stuck with {len(state.slots)} slots and no match")
+    data = [checked_data(v, fp, dim) for v in slots]
+    heads = [best_token(ruleset.head_probes @ s) for s in data]
+    for rule, j in rewrites(heads, ruleset.rules):
+        apply_replacement(rule, data, j, ruleset)
+    if len(data) == 1:
+        return BTVector(data[0], fp)
+    raise NoParseError(f"stuck with {len(data)} slots and no match")

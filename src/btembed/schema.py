@@ -114,8 +114,10 @@ class Tree:
 
     Children are keyed by attribute index, at most one child per attribute,
     and stored sorted by attribute index so structurally equal trees compare
-    equal. Instances are immutable; from_parents builds one from flat parent
-    rows. No method recurses, so depth is bounded only by memory.
+    equal. A label or attribute index that is not an integer raises
+    TypeError, and a negative one ValueError. Instances are immutable;
+    from_parents builds one from flat parent rows. No method recurses, so
+    depth is bounded only by memory.
     """
 
     label: int
@@ -123,9 +125,9 @@ class Tree:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
-        if self.label < 0:
+        if operator.index(self.label) < 0:
             raise ValueError("label index must be non-negative")
-        attrs = [a for a, _ in self.children]
+        attrs = [operator.index(a) for a, _ in self.children]
         if any(a < 0 for a in attrs):
             raise ValueError("attribute index must be non-negative")
         if attrs != sorted(set(attrs)):

@@ -8,7 +8,7 @@ from btembed import (
     DecodeStats,
     THRESHOLD,
     Embedding,
-    ParseState,
+    Rule,
     RuleSet,
     Schema,
     SchemaMismatchError,
@@ -22,6 +22,7 @@ from btembed import (
     load_embedding,
     make_embedding,
     make_sweep_schema,
+    parse_vectors,
     random_tree,
     save_embedding,
 )
@@ -61,13 +62,15 @@ class TestDecodeToken:
         # the decoder's token and node probes and the parser's head labels
         # all reject a best score of exactly THRESHOLD and take the next float up
         e = self.exact_embedding()
-        ruleset = RuleSet((), e.token_vectors, e.bind, e.fingerprint)
         at, above = np.array([THRESHOLD, 0.0]), np.array([np.nextafter(THRESHOLD, 1.0), 0.0])
         assert decode_token(e, e.wrap(at)) is None
         assert decode_token(e, e.wrap(above)) == 0
         assert decode(e, e.wrap(at)) is None
         assert decode(e, e.wrap(above)) == Tree(0)
-        assert ParseState.start([at, above], ruleset).heads == [None, 0]
+        # the one rule a -> b rewrites a slot only once its head reads a
+        ruleset = RuleSet((Rule((0,), 1),), e.token_vectors, e.bind, e.fingerprint)
+        assert parse_vectors([e.wrap(at)], ruleset).data.tolist() == at.tolist()
+        assert parse_vectors([e.wrap(above)], ruleset).data.tolist() == [1.0 - above[0], 0.0]
 
     def test_tie_breaks_to_lowest_index(self):
         # duplicate token rows force an exact tie

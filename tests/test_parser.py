@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import ast
 import itertools
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +14,17 @@ import btembed.parser
 from btembed import (
     ArityExceededError,
     NoParseError,
-    ParseState,
     SchemaMismatchError,
     StepBudgetExceededError,
     Tree,
+    arg_attributes,
     balanced_parens_grammar,
     balanced_parens_schema,
     bt_encode,
     compile_rules,
     decode,
     make_embedding,
+    make_sweep_schema,
     match_window,
     parse,
     parse_vectors,
@@ -31,7 +32,7 @@ from btembed import (
     symbolic_parse,
 )
 from btembed.harness import cell_seed, trial_rng
-from btembed.parser import apply_replacement, step_budget
+from btembed.parser import apply_replacement, rewrites, step_budget
 
 GRAMMAR = balanced_parens_grammar()
 SCHEMA = balanced_parens_schema()
@@ -43,8 +44,46 @@ def tok(e, name):
     return e.token_vector(name).copy()
 
 
-def state_of(e, ruleset, names):
-    return ParseState.start([tok(e, n) for n in names], ruleset)
+def heads_of(names):
+    return [SCHEMA.token_index(n) for n in names]
+
+
+def restart_scan(grammar, tokens, schema) -> Tree | None:
+    """Reference symbolic parser with its scan written out: first rule,
+    leftmost window, restart after each hit, and at most (n - 1) + u (2n - 1)
+    rewrites for n tokens and u unary rules."""
+    arg_idx = [schema.attribute_index(a) for a in arg_attributes(schema)]
+    slots = [Tree(schema.token_index(t)) for t in tokens]
+    if not slots:
+        return None
+    compiled = [(tuple(schema.token_index(t) for t in p), schema.token_index(r)) for p, r in grammar]
+    n, u = len(slots), sum(len(p) == 1 for p, _ in compiled)
+    budget, steps = (n - 1) + u * (2 * n - 1), 0
+    while True:
+        hit = False
+        for pattern, replacement in compiled:
+            m = len(pattern)
+            for j in range(len(slots) - m + 1):
+                if all(slots[j + k].label == pattern[k] for k in range(m)):
+                    kids = {arg_idx[k]: slots[j + k] for k in range(m)}
+                    slots[j : j + m] = [Tree.make(replacement, kids)]
+                    steps += 1
+                    if steps > budget:
+                        raise StepBudgetExceededError(f"exceeded {budget} rewrite steps")
+                    hit = True
+                    break
+            if hit:
+                break
+        if not hit:
+            return slots[0] if len(slots) == 1 else None
+
+
+def outcome(parser, *args):
+    """A parser's result, or the type and message of the budget error it raised."""
+    try:
+        return parser(*args)
+    except StepBudgetExceededError as err:
+        return type(err), str(err)
 
 
 def balanced_words(length):
@@ -99,8 +138,6 @@ class TestCompiledRules:
             compile_rules(parens_embedding, [(("L", "L", "R", "R"), "E")])
 
     def test_schema_without_arg_attrs(self):
-        from btembed import make_sweep_schema
-
         e = make_embedding(make_sweep_schema(4, 1), 64, 1)
         with pytest.raises(ArityExceededError):
             compile_rules(e, [(("t0", "t1"), "t2")])
@@ -109,36 +146,79 @@ class TestCompiledRules:
         with pytest.raises(ValueError):
             compile_rules(parens_embedding, [((), "E")])
 
+    @pytest.mark.parametrize(
+        "grammar, error",
+        [([((), "E")], ValueError), ([(("L", "L", "R", "R"), "E")], ArityExceededError)],
+        ids=["empty", "too-wide"],
+    )
+    def test_symbolic_parse_raises_the_compile_errors(self, parens_embedding, grammar, error):
+        with pytest.raises(error) as compiled:
+            compile_rules(parens_embedding, grammar)
+        with pytest.raises(error) as symbolic:
+            symbolic_parse(grammar, ["L", "L", "R", "R"], SCHEMA)
+        assert str(symbolic.value) == str(compiled.value)
+
+    def test_symbolic_parse_needs_arg_attrs(self):
+        with pytest.raises(ArityExceededError, match="no argument attributes"):
+            symbolic_parse([(("t0", "t1"), "t2")], ["t0", "t1"], make_sweep_schema(4, 1))
+
 
 class TestWindows:
     def test_head_labels(self, parens_embedding, parens_ruleset):
-        state = state_of(parens_embedding, parens_ruleset, ["L", "E", "R"])
-        assert state.heads == [SCHEMA.token_index(t) for t in ("L", "E", "R")]
+        # the one rule L E R -> E fires only if each slot's probe reads its token
+        e = parens_embedding
+        ruleset = replace(parens_ruleset, rules=parens_ruleset.rules[1:2])
+        v = parse_vectors([e.wrap(tok(e, n)) for n in ("L", "E", "R")], ruleset)
+        expected = e.token_vectors[SCHEMA.token_index("E")].copy()
+        for k, n in enumerate(("L", "E", "R")):
+            expected += ruleset.bind(k, tok(e, n))
+        np.testing.assert_array_equal(v.data, expected)
 
-    def test_match_basic(self, parens_embedding, parens_ruleset):
+    def test_match_basic(self, parens_ruleset):
         lr, ler, ee = parens_ruleset.rules
-        state = state_of(parens_embedding, parens_ruleset, ["L", "R"])
-        assert match_window(lr, state, 0)
-        assert not match_window(ee, state, 0)
+        heads = heads_of(["L", "R"])
+        assert match_window(lr, heads, 0)
+        assert not match_window(ee, heads, 0)
         # window wider than the remaining slots can never match
-        assert not match_window(ler, state, 0)
+        assert not match_window(ler, heads, 0)
 
-    def test_match_reads_current_slots(self, parens_embedding, parens_ruleset):
-        # a match reads the head labels the slots hold now
+    def test_match_reads_current_slots(self, parens_ruleset):
+        # a match reads the head labels the list holds now
         lr, _, ee = parens_ruleset.rules
-        state = state_of(parens_embedding, parens_ruleset, ["L", "R"])
-        assert match_window(lr, state, 0)
-        state.heads[:] = [SCHEMA.token_index("E")] * 2
-        assert not match_window(lr, state, 0)
-        assert match_window(ee, state, 0)
+        heads = heads_of(["L", "R"])
+        assert match_window(lr, heads, 0)
+        heads[:] = heads_of(["E", "E"])
+        assert not match_window(lr, heads, 0)
+        assert match_window(ee, heads, 0)
+
+    def test_rewrites_collapse_heads_after_each_yield(self, parens_ruleset):
+        # L R L R: both pairs left to right, then E E; the window's labels
+        # collapse to the rule's token once the caller has taken the rewrite
+        lr, _, ee = parens_ruleset.rules
+        heads = heads_of(["L", "R", "L", "R"])
+        seen = []
+        for rule, j in rewrites(heads, parens_ruleset.rules):
+            seen.append((rule, j, list(heads)))
+        assert seen == [
+            (lr, 0, heads_of(["L", "R", "L", "R"])),
+            (lr, 1, heads_of(["E", "L", "R"])),
+            (ee, 0, heads_of(["E", "E"])),
+        ]
+        assert heads == heads_of(["E"])
+
+    def test_rewrites_stop_at_the_budget(self, parens_embedding):
+        # one slot and L -> R -> L: the budget is 2, the third rewrite raises
+        rules = compile_rules(parens_embedding, UNARY_CYCLE).rules
+        scan = rewrites(heads_of(["L"]), rules)
+        assert [rule for rule, _ in itertools.islice(scan, 2)] == list(rules)
+        with pytest.raises(StepBudgetExceededError, match="exceeded 2 rewrite steps"):
+            next(scan)
 
     def test_apply_replacement_builds_node(self, parens_embedding, parens_ruleset):
         e = parens_embedding
-        state = state_of(e, parens_ruleset, ["L", "R"])
-        apply_replacement(parens_ruleset.rules[0], state, 0, parens_ruleset)
-        assert len(state.slots) == 1
-        assert state.heads == [SCHEMA.token_index("E")]
-        assert state.steps == 1
+        slots = [tok(e, "L"), tok(e, "R")]
+        apply_replacement(parens_ruleset.rules[0], slots, 0, parens_ruleset)
+        assert len(slots) == 1
         expected = bt_encode(
             e,
             Tree.make(
@@ -150,15 +230,17 @@ class TestWindows:
             ),
         )
         # both bind the input tokens by the same memoized leaf images
-        np.testing.assert_array_equal(state.slots[0], expected.data)
+        np.testing.assert_array_equal(slots[0], expected.data)
 
     def test_only_exact_token_vectors_are_leaves(self, parens_embedding, parens_ruleset):
         e = parens_embedding
         L, arg1 = SCHEMA.token_index("L"), SCHEMA.attribute_index("arg1")
         nudged = tok(e, "L")
         nudged[0] += 1e-9
-        state = ParseState.start([nudged, tok(e, "R")], parens_ruleset)
-        assert state.heads == [L, SCHEMA.token_index("R")]
+        # the nudged slot still reads as L, so L R parses
+        v = parse_vectors([e.wrap(nudged), e.wrap(tok(e, "R"))], parens_ruleset)
+        rewritten = e.token_vectors[SCHEMA.token_index("E")] + e.bind(arg1, nudged)
+        np.testing.assert_array_equal(v.data, rewritten + parens_ruleset.bind(1, tok(e, "R")))
         memo = parens_ruleset.bind(0, tok(e, "L"))
         assert parens_ruleset.bind(0, tok(e, "L")) is memo
         assert e._leaf_images[arg1, L] is memo
@@ -331,6 +413,36 @@ class TestParse:
         data[5] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
             parse_vectors([e.wrap(tok(e, "L")), e.wrap(data)], parens_ruleset)
+
+
+class TestOneSchedule:
+    """symbolic_parse, which runs parser.rewrites, makes the trees and errors
+    of the scan written out in restart_scan."""
+
+    def agree(self, grammar, word):
+        want = outcome(restart_scan, grammar, word, SCHEMA)
+        assert outcome(symbolic_parse, grammar, word, SCHEMA) == want, word
+        return want
+
+    def test_every_short_word(self):
+        for word in [w for length in range(2, 11, 2) for w in balanced_words(length)]:
+            assert isinstance(self.agree(GRAMMAR, word), Tree)
+
+    def test_long_words(self):
+        for length in range(12, 65, 2):
+            for t in range(40):
+                self.agree(GRAMMAR, random_balanced(length, trial_rng(7, 3, 1000, length, t)))
+
+    def test_near_misses(self):
+        # unbalanced words halt on several slots
+        for word in (["L", "L"], ["R", "L"], ["L", "R", "R"], ["L", "E", "E", "R", "L"], []):
+            assert self.agree(GRAMMAR, word) is None
+
+    @pytest.mark.parametrize("grammar", [UNARY_CHAIN, UNARY_CYCLE, GRAMMAR + UNARY_CHAIN[:2]])
+    def test_unary_grammars(self, grammar):
+        words = [["L"], ["R"], ["E"], ["L", "R"], ["L", "R"] * 4, ["L", "L", "R", "R"]]
+        errors = {o[0] for o in (self.agree(grammar, word) for word in words) if isinstance(o, tuple)}
+        assert errors == ({StepBudgetExceededError} if grammar is UNARY_CYCLE else set())
 
 
 class TestEngineIsolation:

@@ -134,6 +134,19 @@ class TestTree:
             Tree(0, ((-1, Tree(1)),))
 
     @pytest.mark.parametrize(
+        "label, children",
+        [(1.5, ()), ("a", ()), (None, ()), (0, ((0.5, Tree(1)),)), (0, ((np.float64(1.0), Tree(1)),))],
+        ids=["float-label", "str-label", "none-label", "float-attr", "numpy-float-attr"],
+    )
+    def test_non_integer_index_rejected(self, label, children):
+        # labels and attributes are indices, checked as Schema.token_index checks them
+        with pytest.raises(TypeError):
+            Tree(label, children)
+
+    def test_numpy_integer_index_accepted(self):
+        assert Tree(np.int64(2), ((np.intp(0), Tree(1)),)) == Tree(2, ((0, Tree(1)),))
+
+    @pytest.mark.parametrize(
         "rows, message",
         [
             ([], "non-empty"),
