@@ -15,11 +15,13 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
-from .embedding import Embedding
+import numpy as np
+
+from .embedding import Embedding, bt_encode
 from .exceptions import ArityExceededError
 from .parser import Rule, RuleSet, parse_vectors, rewrites
 from .schema import NEXT, Schema, Tree
-from .vectors import BTVector
+from .vectors import BTVector, read_only
 
 GrammarRules = Sequence[tuple[Sequence[str], str]]
 
@@ -52,10 +54,33 @@ def compile_grammar(schema: Schema, grammar: GrammarRules) -> tuple[Rule, ...]:
 
 
 def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
-    """The grammar's compiled rules; the probes and the binding are the embedding's own."""
+    """The grammar's compiled rules, the embedding's token probes, and a
+    binding that knows each rule's node over its own pattern tokens.
+
+    A rule applied to exact input tokens always builds the same node:
+    bt_encode of the replacement with the pattern's tokens as its arg*
+    children. bind(k, slot) finds a slot bitwise equal to one of these nodes
+    by its first entry, then whole, as Embedding.bind finds tokens, and
+    returns the node's image under the k-th argument attribute from a
+    read-only memo, filled on first use by that same e.bind product. Keyed by
+    rule and argument position, the memo holds at most n_rules * n_args
+    vectors. Every other slot is bound by e.bind.
+    """
     rules = compile_grammar(e.schema, grammar)
-    args = arg_attributes(e.schema)
-    return RuleSet(rules, e.token_vectors, lambda k, slot: e.bind(args[k], slot), e.fingerprint)
+    args = [e.schema.attribute_index(a) for a in arg_attributes(e.schema)]
+    nodes = [bt_encode(e, Tree.make(r.replacement, dict(zip(args, map(Tree, r.pattern))))).data for r in rules]
+    firsts = np.array([node[0] for node in nodes])
+    images: dict[tuple[int, int], np.ndarray] = {}
+
+    def bind(k: int, slot: np.ndarray) -> np.ndarray:
+        for i in np.flatnonzero(firsts == slot[0]):
+            if np.array_equal(slot, nodes[i]):
+                if (i, k) not in images:
+                    images[i, k] = read_only(e.bind(args[k], slot))
+                return images[i, k]
+        return e.bind(args[k], slot)
+
+    return RuleSet(rules, e.token_vectors, bind, e.fingerprint)
 
 
 def parse(e: Embedding, tokens: Sequence[str], ruleset: RuleSet) -> BTVector:

@@ -34,7 +34,9 @@ class Rule:
 class RuleSet:
     """Compiled rules, the embedding's token probes, and its binding.
 
-    bind(k, slot) is slot's term under the k-th argument attribute.
+    bind(k, slot) is slot's term under the k-th argument attribute. It may
+    be a memo entry (compile_rules keeps its rules' nodes over input tokens
+    and their images), so the engine reads it and never writes it.
     """
 
     rules: tuple[Rule, ...]

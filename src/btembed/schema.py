@@ -114,10 +114,10 @@ class Tree:
 
     Children are keyed by attribute index, at most one child per attribute,
     and stored sorted by attribute index so structurally equal trees compare
-    equal. A label or attribute index that is not an integer raises
-    TypeError, and a negative one ValueError. Instances are immutable;
-    from_parents builds one from flat parent rows. No method recurses, so
-    depth is bounded only by memory.
+    equal. A label or attribute index that is not an integer, or a child
+    that is not a Tree, raises TypeError, and a negative index ValueError.
+    Instances are immutable; from_parents builds one from flat parent rows.
+    No method recurses, so depth is bounded only by memory.
     """
 
     label: int
@@ -128,6 +128,9 @@ class Tree:
         if operator.index(self.label) < 0:
             raise ValueError("label index must be non-negative")
         attrs = [operator.index(a) for a, _ in self.children]
+        for _, sub in self.children:
+            if not isinstance(sub, Tree):
+                raise TypeError("every child must be a Tree")
         if any(a < 0 for a in attrs):
             raise ValueError("attribute index must be non-negative")
         if attrs != sorted(set(attrs)):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from btembed import balanced_parens_grammar, balanced_parens_schema, compile_rules
-from btembed import make_embedding, make_sweep_schema, save_embedding
+from btembed import Embedding, make_embedding, make_sweep_schema, save_embedding
 
 acceptance_lines: list[str] = []
 
@@ -48,6 +48,26 @@ def parens_embedding():
 @pytest.fixture(scope="session")
 def parens_ruleset(parens_embedding):
     return compile_rules(parens_embedding, balanced_parens_grammar())
+
+
+@pytest.fixture(scope="session")
+def counting():
+    """counting(e) is (e', count): e' is e with attribute matrices that add
+    each matrix-vector product they run, a rotation or a bind, to count[0];
+    the decoder's table builds multiply matrices by matrices and are not
+    counted. e' has memos of its own, empty until used."""
+
+    def wrap(e: Embedding) -> tuple[Embedding, list[int]]:
+        count = [0]
+
+        class Counting(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                count[0] += ufunc is np.matmul and np.ndim(inputs[1]) == 1
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        return Embedding(e.schema, e.seed, e.token_vectors, e.attribute_matrices.view(Counting)), count
+
+    return wrap
 
 
 @pytest.fixture(scope="session")

@@ -183,19 +183,6 @@ def rotate(e: Embedding, path, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def counting(e: Embedding) -> tuple[Embedding, list[int]]:
-    """e with attribute matrices that count their matrix-vector products, the
-    decoder's rotations; the table builds multiply matrices by matrices."""
-    count = [0]
-
-    class Counting(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            count[0] += ufunc is np.matmul and np.ndim(inputs[1]) == 1
-            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-    return Embedding(e.schema, e.seed, e.token_vectors, e.attribute_matrices.view(Counting)), count
-
-
 def shaped(schema: Schema, d: int) -> Embedding:
     """An embedding of the right shapes whose arrays are never read, to ask its probe_depth."""
     m = schema.n_attributes
@@ -213,7 +200,7 @@ def internal_below_root(tree: Tree) -> int:
 
 
 class TestRotations:
-    def test_lists_within_probe_depth_rotate_nothing(self, emb_list):
+    def test_lists_within_probe_depth_rotate_nothing(self, emb_list, counting):
         # an n-list has n - 2 internal nodes below the root; from the root's
         # frame the tables reach probe_depth + 1 = 9 levels, and the 8th node
         # is the next anchor, whose frame takes 8 rotations
@@ -226,7 +213,7 @@ class TestRotations:
             assert decode(e, encode_list(emb_list, tokens)) == chain_tree(emb_list, tokens)
             assert count[0] == (0 if n <= 9 else 8)
 
-    def test_at_most_one_rotation_per_internal_node(self, emb_small):
+    def test_at_most_one_rotation_per_internal_node(self, emb_small, counting):
         # with probe_depth 1 every internal node below the root is rotated
         # into, as before; deeper tables rotate fewer
         narrow = make_embedding(emb_small.schema, 160, 2)

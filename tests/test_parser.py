@@ -100,6 +100,10 @@ def balanced_words(length):
     return words
 
 
+# lengths 2..10 hold 1 + 2 + 5 + 14 + 42 words
+SHORT_WORDS = [w for length in range(2, 11, 2) for w in balanced_words(length)]
+
+
 @st.composite
 def balanced_word(draw, max_length):
     """A non-empty balanced L/R word of even length up to max_length."""
@@ -254,6 +258,51 @@ class TestWindows:
             np.testing.assert_array_equal(fresh, e.attribute_matrices[arg1] @ off)
 
 
+class TestRuleNodes:
+    """compile_rules binds a rule's node over input tokens from a memo."""
+
+    def test_only_exact_rule_nodes_read_the_memo(self, parens_embedding, counting):
+        e, count = counting(parens_embedding)
+        ruleset = compile_rules(e, GRAMMAR)
+        slots = [tok(e, "L"), tok(e, "R")]
+        apply_replacement(ruleset.rules[0], slots, 0, ruleset)
+        node = slots[0]
+        arg2 = e.attribute_matrices[SCHEMA.attribute_index("arg2")]
+        count[0] = 0
+        memo = ruleset.bind(1, node)
+        assert ruleset.bind(1, node.copy()) is memo and not memo.flags.writeable
+        # filled on first use by the product it stands for, and only then
+        assert count[0] == 1
+        np.testing.assert_array_equal(memo, arg2 @ node)
+        # a slot 1e-9 off the node, in its first entry or a later one, gets
+        # a product of its own
+        for i in (0, 5):
+            off = node.copy()
+            off[i] += 1e-9
+            count[0] = 0
+            fresh = ruleset.bind(1, off)
+            assert count[0] == 1 and fresh is not memo and fresh.flags.writeable
+            np.testing.assert_array_equal(fresh, arg2 @ off)
+
+    def test_memo_holds_a_node_per_rule(self, parens_embedding, counting):
+        # each rule over its own pattern tokens builds its node; binding the
+        # three nodes under the three arg* attributes, twice, fills 3 * 3
+        # images and runs no other product
+        e, count = counting(parens_embedding)
+        ruleset = compile_rules(e, GRAMMAR)
+        nodes = []
+        for rule in ruleset.rules:
+            slots = [e.token_vectors[t].copy() for t in rule.pattern]
+            apply_replacement(rule, slots, 0, ruleset)
+            nodes.append(slots[0])
+        count[0] = 0
+        for _ in range(2):
+            for node in nodes:
+                for k in range(3):
+                    ruleset.bind(k, node)
+        assert count[0] == 9
+
+
 class TestParse:
     def sym(self, word):
         return symbolic_parse(GRAMMAR, word, SCHEMA)
@@ -309,27 +358,56 @@ class TestParse:
                 assert decode(parens_embedding, v) == self.sym(word), word
 
     @pytest.fixture(scope="class")
-    def c09_embedding(self):
-        return make_embedding(SCHEMA, 1000, cell_seed(0, 3, 1000, 12))
+    def c09_embeddings(self):
+        return {s: make_embedding(SCHEMA, 1000, cell_seed(s, 3, 1000, 12)) for s in (0, 9973)}
 
-    def test_every_short_word_parses_exactly(self, c09_embedding):
-        # lengths 2..10 hold 1 + 2 + 5 + 14 + 42 words
-        e = c09_embedding
-        ruleset = compile_rules(e, GRAMMAR)
-        words = [w for length in range(2, 11, 2) for w in balanced_words(length)]
-        assert len(words) == 64
+    @pytest.fixture(scope="class")
+    def c09_embedding(self, c09_embeddings):
+        return c09_embeddings[0]
+
+    def assert_parses_exactly(self, e, words):
+        """Each word parses, under a warm rule set and under a fresh one, to
+        bitwise bt_encode of the oracle tree. An L/R word binds only rule 0's
+        node over input tokens, under arg1 and arg2, so the short words fill
+        every image the warm set will read."""
+        warm = compile_rules(e, GRAMMAR)
+        for word in SHORT_WORDS:
+            parse(e, word, warm)
         for word in words:
-            v = parse(e, word, ruleset)
-            np.testing.assert_array_equal(v.data, bt_encode(e, self.sym(word)).data, err_msg=str(word))
+            expected = bt_encode(e, self.sym(word)).data
+            for ruleset in (warm, compile_rules(e, GRAMMAR)):
+                np.testing.assert_array_equal(parse(e, word, ruleset).data, expected, err_msg=str(word))
 
-    def test_long_words_parse_exactly(self):
+    def test_every_short_word_parses_exactly(self, c09_embeddings):
+        assert len(SHORT_WORDS) == 64
+        for e in c09_embeddings.values():
+            self.assert_parses_exactly(e, SHORT_WORDS)
+
+    def test_long_words_parse_exactly(self, c09_embeddings):
         # long words, where the slots carry many nodes and their probes the most cross-talk
         e = make_embedding(SCHEMA, 1000, 3)
+        self.assert_parses_exactly(e, [random_balanced(40, trial_rng(7, 3, 1000, 40, t)) for t in range(30)])
+        words = [random_balanced(n, trial_rng(7, 3, 1000, n, t)) for n in range(12, 65, 2) for t in range(10)]
+        for e in c09_embeddings.values():
+            self.assert_parses_exactly(e, words)
+
+    def test_warm_parse_binds_only_tall_members(self, c09_embedding, counting):
+        # a member that is an input token or a rule's node over input tokens,
+        # height 0 or 1, reads a memo; each member of height >= 2 costs one
+        # product, and the root is never bound
+        def tall_members(tree):
+            def combine(node, subs):
+                return (1 + max(h for h, _ in subs) if subs else 0, sum(n + (h >= 2) for h, n in subs))
+
+            return tree.fold(combine)[1]
+
+        e, count = counting(c09_embedding)
         ruleset = compile_rules(e, GRAMMAR)
-        for t in range(30):
-            word = random_balanced(40, trial_rng(7, 3, 1000, 40, t))
-            v = parse(e, word, ruleset)
-            np.testing.assert_array_equal(v.data, bt_encode(e, self.sym(word)).data, err_msg=str(t))
+        for word in SHORT_WORDS:
+            parse(e, word, ruleset)
+            count[0] = 0
+            parse(e, word, ruleset)
+            assert count[0] == tall_members(self.sym(word)), word
 
     def test_replacement_head_is_the_rule_token(self, c09_embedding):
         # a probe of this word's replacement slots misreads a head once their
@@ -425,7 +503,7 @@ class TestOneSchedule:
         return want
 
     def test_every_short_word(self):
-        for word in [w for length in range(2, 11, 2) for w in balanced_words(length)]:
+        for word in SHORT_WORDS:
             assert isinstance(self.agree(GRAMMAR, word), Tree)
 
     def test_long_words(self):

@@ -143,6 +143,12 @@ class TestTree:
         with pytest.raises(TypeError):
             Tree(label, children)
 
+    @pytest.mark.parametrize("child", [5, None, {"label": 1}], ids=["int", "none", "dict"])
+    def test_non_tree_child_rejected(self, child):
+        # caught at construction, not later in bt_encode, repr or hash
+        with pytest.raises(TypeError, match="every child must be a Tree"):
+            Tree(0, ((0, child),))
+
     def test_numpy_integer_index_accepted(self):
         assert Tree(np.int64(2), ((np.intp(0), Tree(1)),)) == Tree(2, ((0, Tree(1)),))
 
