@@ -3,10 +3,10 @@
 Token probes are inner products against the token matrix. A node is accepted
 when its best probe clears THRESHOLD. Its child slots are probed all at
 once, through one of the embedding's slot_probes tables applied to the
-frame of an ancestor, so the vector is rotated with a matrix transpose only
-where a path would outgrow probe_depth. A leaf costs no dim x dim product,
-and neither does a tree whose leaves are at most probe_depth levels below
-the root. An absent subtree simply fails its probe.
+frame of its ancestor probe_depth levels up, or of the root. So the vector
+is rotated with a matrix transpose into a frame only for a non-root node of
+height >= probe_depth, once each: a tree no more than probe_depth levels
+deep costs no dim x dim product. An absent subtree simply fails its probe.
 """
 
 from __future__ import annotations
@@ -56,16 +56,16 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
     Each accepted node goes into one record as (label, attr, parent),
     parents before children, and the tree is Tree.from_parents(record). A
     node's child slots are scored by slot_probes(path) @ frame, where frame
-    is an anchor's vector M^T-rotated from the root and path leads from the
-    anchor to the node; the root is the first anchor. A node whose path is
-    probe_depth long and one of whose child slots passes becomes an anchor.
-    Its frame is rotated down from its nearest ancestor that has one, and
-    every frame on the way is kept, so each internal non-root node costs at
-    most one dim x dim product. More than min(d, 2||v||^2 + 1) accepted
-    nodes, the root counted, raise BudgetExceededError; as depth < nodes,
-    that bounds depth too. A tree's ||v||^2 is its node count give or take
-    sqrt(2n(n-1)/d), and no d-dim vector holds more than d orthogonal node
-    contributions.
+    is its anchor's vector M^T-rotated from the root and path leads from the
+    anchor to the node. The anchor is the node's ancestor probe_depth levels
+    up, or the root for a shallower node: when a child's path would outgrow
+    probe_depth, the anchor moves one node down that path. Its frame is
+    rotated from its parent's, and every frame is kept, so exactly the
+    non-root nodes of height >= probe_depth cost one dim x dim product each.
+    More than min(d, 2||v||^2 + 1) accepted nodes, the root counted, raise
+    BudgetExceededError; as depth < nodes, that bounds depth too. A tree's
+    ||v||^2 is its node count give or take sqrt(2n(n-1)/d), and no d-dim
+    vector holds more than d orthogonal node contributions.
     """
     data = e.check(v)
     with np.errstate(over="ignore"):  # a finite v's ||v||^2 may be inf; min then gives d
@@ -96,8 +96,12 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
             label = best_token(slot)
             if label is not None:
                 if len(path) == e.probe_depth:
-                    make_frame(i)
-                    anchor, path = i, ()
+                    # the anchor moves one node down the path, to the child's ancestor probe_depth levels up
+                    anchor = i
+                    for _ in path[1:]:
+                        anchor = record[anchor][2]
+                    make_frame(anchor)
+                    path = path[1:]
                 child = (*path, attr)
                 stack.append((len(record), anchor, child, e.slot_probes(child) @ frames[anchor]))
                 record.append((label, attr, i))

@@ -13,8 +13,8 @@ import hashlib
 import operator
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,18 @@ def _check_seed(seed: int) -> None:
     """TypeError unless seed is an integer, ValueError unless it fits in 64 unsigned bits."""
     if not 0 <= operator.index(seed) <= _MAX_SEED:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+
+
+def memo_product(product: Callable, x: np.ndarray, rows: np.ndarray, memo: dict, tag: int) -> np.ndarray:
+    """product(x), or memo[tag, i] when x is exactly row i of rows: matched on
+    its first entry, then whole, and filled read-only on first use by
+    product(rows[i]), so its bits are the product's."""
+    for i in map(int, np.flatnonzero(rows[:, 0] == x[0])):
+        if np.array_equal(x, rows[i]):
+            if (tag, i) not in memo:
+                memo[tag, i] = read_only(product(rows[i]))
+            return memo[tag, i]
+    return product(x)
 
 
 def embedding_fingerprint(schema: Schema, dim: int, seed: int) -> str:
@@ -138,20 +150,14 @@ class Embedding:
 
         attr is a name or an index in the schema, else KeyError. An all-zero
         x is returned as is, since M 0 = 0. x exactly equal to a token's
-        vector (matched on its first entry, then whole) reads the token's image
-        from a read-only memo keyed by attribute index, filled on first use by
-        that same product, so its bits are the product's.
+        vector reads the token's image from a memo_product memo keyed by
+        attribute index and token.
         """
         a = self.schema.attribute_index(attr)
         if not x.any():
             return x
-        for label in np.flatnonzero(self.token_vectors[:, 0] == x[0]):
-            if np.array_equal(x, self.token_vectors[label]):
-                key = (a, int(label))
-                if key not in self._leaf_images:
-                    self._leaf_images[key] = read_only(self.attribute_matrices[a] @ self.token_vectors[label])
-                return self._leaf_images[key]
-        return self.attribute_matrices[a] @ x
+        product = partial(np.matmul, self.attribute_matrices[a])
+        return memo_product(product, x, self.token_vectors, self._leaf_images, a)
 
     @cached_property
     def _slot_probes(self) -> dict[tuple[int, ...], np.ndarray]:

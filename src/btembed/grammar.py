@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import Embedding, bt_encode
+from .embedding import Embedding, bt_encode, memo_product
 from .exceptions import ArityExceededError
 from .parser import Rule, RuleSet, parse_vectors, rewrites
 from .schema import NEXT, Schema, Tree
-from .vectors import BTVector, read_only
+from .vectors import BTVector
 
 GrammarRules = Sequence[tuple[Sequence[str], str]]
 
@@ -59,26 +59,19 @@ def compile_rules(e: Embedding, grammar: GrammarRules) -> RuleSet:
 
     A rule applied to exact input tokens always builds the same node:
     bt_encode of the replacement with the pattern's tokens as its arg*
-    children. bind(k, slot) finds a slot bitwise equal to one of these nodes
-    by its first entry, then whole, as Embedding.bind finds tokens, and
-    returns the node's image under the k-th argument attribute from a
-    read-only memo, filled on first use by that same e.bind product. Keyed by
-    rule and argument position, the memo holds at most n_rules * n_args
-    vectors. Every other slot is bound by e.bind.
+    children. bind(k, slot) is e.bind under the k-th argument attribute, and
+    a slot bitwise equal to one of these nodes reads the node's image from a
+    memo_product memo, as Embedding.bind reads a token's. Keyed by argument
+    position and rule, the memo holds at most n_rules * n_args vectors.
     """
     rules = compile_grammar(e.schema, grammar)
     args = [e.schema.attribute_index(a) for a in arg_attributes(e.schema)]
-    nodes = [bt_encode(e, Tree.make(r.replacement, dict(zip(args, map(Tree, r.pattern))))).data for r in rules]
-    firsts = np.array([node[0] for node in nodes])
+    trees = [Tree.make(r.replacement, dict(zip(args, map(Tree, r.pattern)))) for r in rules]
+    nodes = np.array([bt_encode(e, tree).data for tree in trees])
     images: dict[tuple[int, int], np.ndarray] = {}
 
     def bind(k: int, slot: np.ndarray) -> np.ndarray:
-        for i in np.flatnonzero(firsts == slot[0]):
-            if np.array_equal(slot, nodes[i]):
-                if (i, k) not in images:
-                    images[i, k] = read_only(e.bind(args[k], slot))
-                return images[i, k]
-        return e.bind(args[k], slot)
+        return memo_product(lambda y: e.bind(args[k], y), slot, nodes, images, k)
 
     return RuleSet(rules, e.token_vectors, bind, e.fingerprint)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -141,38 +143,45 @@ def tree_roundtrip_trial(e: Embedding, size: int, rng: np.random.Generator) -> b
     return _roundtrip(e, random_tree(size, n_labels, e.schema.n_attributes, rng))
 
 
-def parse_roundtrip_trial(e: Embedding, length: int, rng: np.random.Generator) -> bool:
-    word = random_balanced(length, rng)
+def parse_cell(e: Embedding) -> Callable[[int, np.random.Generator], bool]:
+    """A parse cell's trial(length, rng), all of whose parses share one rule set."""
     grammar = balanced_parens_grammar()
-    reference = symbolic_parse(grammar, word, e.schema)
-    try:
-        v = parse(e, word, compile_rules(e, grammar))
-        decoded = decode(e, v)
-    except (NoParseError, BudgetExceededError):
-        return False
-    return reference is not None and decoded == reference
+    ruleset = compile_rules(e, grammar)
+
+    def trial(length: int, rng: np.random.Generator) -> bool:
+        word = random_balanced(length, rng)
+        reference = symbolic_parse(grammar, word, e.schema)
+        try:
+            decoded = decode(e, parse(e, word, ruleset))
+        except (NoParseError, BudgetExceededError):
+            return False
+        return reference is not None and decoded == reference
+
+    return trial
 
 
 # kind -> (the code in every cell and trial seed, the schema every cell
-# embeds, trial(embedding, size, rng)); the seeds, and so the CSVs, depend on the codes
+# embeds, the cell's set-up, which takes its embedding and returns
+# trial(size, rng)); the seeds, and so the CSVs, depend on the codes
 SWEEPS = {
-    "list": (1, make_sweep_schema(100, 1), list_roundtrip_trial),
-    "tree": (2, make_sweep_schema(100, 4), tree_roundtrip_trial),
-    "parse": (3, balanced_parens_schema(), parse_roundtrip_trial),
+    "list": (1, make_sweep_schema(100, 1), lambda e: partial(list_roundtrip_trial, e)),
+    "tree": (2, make_sweep_schema(100, 4), lambda e: partial(tree_roundtrip_trial, e)),
+    "parse": (3, balanced_parens_schema(), parse_cell),
 }
 
 
 def run_sweep(spec: SweepSpec) -> list[CellResult]:
-    code, schema, run_trial = SWEEPS[spec.kind]
+    code, schema, make_trial = SWEEPS[spec.kind]
     results = []
     for d in spec.dims:
         for l in spec.sizes:
             start = time.perf_counter()
             e = make_embedding(schema, d, cell_seed(spec.base_seed, code, d, l))
+            run_trial = make_trial(e)
             successes = 0
             for trial in range(spec.trials):
                 rng = trial_rng(spec.base_seed, code, d, l, trial)
-                successes += bool(run_trial(e, l, rng))
+                successes += bool(run_trial(l, rng))
             elapsed_ms = (time.perf_counter() - start) * 1e3
             results.append(
                 CellResult(

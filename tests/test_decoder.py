@@ -195,15 +195,16 @@ def emb_list():
     return make_embedding(make_sweep_schema(100, 1), 1000, 3)
 
 
-def internal_below_root(tree: Tree) -> int:
-    return len({p[:-1] for p, _ in tree.paths() if len(p) > 1})
+def tall_below_root(tree: Tree, height: int) -> int:
+    """The tree's non-root nodes with a descendant `height` levels down."""
+    return len({p[:-height] for p, _ in tree.paths() if len(p) > height})
 
 
 class TestRotations:
     def test_lists_within_probe_depth_rotate_nothing(self, emb_list, counting):
-        # an n-list has n - 2 internal nodes below the root; from the root's
-        # frame the tables reach probe_depth + 1 = 9 levels, and the 8th node
-        # is the next anchor, whose frame takes 8 rotations
+        # a node's child slots are scored from its ancestor probe_depth = 8
+        # levels up, so only the non-root nodes of height >= 8 get a frame,
+        # one rotation each: the first n - 9 below the root of an n-list
         e, count = counting(emb_list)
         assert e.probe_depth == 8
         rng = np.random.default_rng(62)
@@ -211,11 +212,11 @@ class TestRotations:
             tokens = [int(t) for t in rng.integers(100, size=n)]
             count[0] = 0
             assert decode(e, encode_list(emb_list, tokens)) == chain_tree(emb_list, tokens)
-            assert count[0] == (0 if n <= 9 else 8)
+            assert count[0] == max(0, n - 9)
 
     def test_at_most_one_rotation_per_internal_node(self, emb_small, counting):
-        # with probe_depth 1 every internal node below the root is rotated
-        # into, as before; deeper tables rotate fewer
+        # one rotation per non-root node of height >= probe_depth: with
+        # probe_depth 1 every internal node below the root, as before
         narrow = make_embedding(emb_small.schema, 160, 2)
         rng = np.random.default_rng(63)
         for base, depth in ((narrow, 1), (emb_small, 3)):
@@ -225,10 +226,7 @@ class TestRotations:
                 tree = random_tree(int(rng.integers(1, 9)), 10, 2, rng)
                 count[0] = 0
                 decoded = decode(e, bt_encode(base, tree))
-                if depth == 1:
-                    assert count[0] == internal_below_root(decoded)
-                else:
-                    assert count[0] <= internal_below_root(decoded)
+                assert count[0] == tall_below_root(decoded, depth)
 
 
 class TestChildProbes:

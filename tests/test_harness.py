@@ -23,6 +23,7 @@ from btembed.harness import (
     SWEEP_CSV_HEADER,
     cell_seed,
     chain_tree,
+    compile_rules,
     jl_bound,
     separation_csv,
     sweep_csv,
@@ -165,6 +166,18 @@ class TestSweeps:
         spec = SweepSpec(kind="parse", dims=(512,), sizes=(2, 4), trials=6)
         for r in run_sweep(spec):
             assert r.successes == 6
+
+    def test_parse_cell_compiles_one_rule_set(self, monkeypatch):
+        # every trial of a cell parses with the rule set its set-up compiled
+        compiled = []
+
+        def compile_once(e, grammar):
+            compiled.append(e)
+            return compile_rules(e, grammar)
+
+        monkeypatch.setattr(harness, "compile_rules", compile_once)
+        run_sweep(SweepSpec(kind="parse", dims=(128, 256), sizes=(2, 4), trials=5))
+        assert len(compiled) == len(set(compiled)) == 4
 
     def test_tree_sweep_noise_regime(self):
         # far past the capacity boundary the round trip must mostly fail

@@ -391,23 +391,37 @@ class TestParse:
         for e in c09_embeddings.values():
             self.assert_parses_exactly(e, words)
 
+    def tall_members(self, word):
+        """The oracle tree's non-root nodes of height >= 2."""
+
+        def combine(node, subs):
+            return (1 + max(h for h, _ in subs) if subs else 0, sum(n + (h >= 2) for h, n in subs))
+
+        return self.sym(word).fold(combine)[1]
+
     def test_warm_parse_binds_only_tall_members(self, c09_embedding, counting):
         # a member that is an input token or a rule's node over input tokens,
         # height 0 or 1, reads a memo; each member of height >= 2 costs one
         # product, and the root is never bound
-        def tall_members(tree):
-            def combine(node, subs):
-                return (1 + max(h for h, _ in subs) if subs else 0, sum(n + (h >= 2) for h, n in subs))
-
-            return tree.fold(combine)[1]
-
         e, count = counting(c09_embedding)
         ruleset = compile_rules(e, GRAMMAR)
         for word in SHORT_WORDS:
             parse(e, word, ruleset)
             count[0] = 0
             parse(e, word, ruleset)
-            assert count[0] == tall_members(self.sym(word)), word
+            assert count[0] == self.tall_members(word), word
+
+    def test_decode_rotates_only_tall_nodes(self, c09_embedding, counting):
+        # at probe_depth 2 a node's child slots are scored from its ancestor two
+        # levels up, so the decode makes one product per non-root node of
+        # height >= 2, as many as the warm parse
+        e, count = counting(c09_embedding)
+        assert e.probe_depth == 2
+        for word in SHORT_WORDS:
+            v = bt_encode(c09_embedding, self.sym(word))
+            count[0] = 0
+            assert decode(e, v) == self.sym(word), word
+            assert count[0] == self.tall_members(word), word
 
     def test_replacement_head_is_the_rule_token(self, c09_embedding):
         # a probe of this word's replacement slots misreads a head once their
