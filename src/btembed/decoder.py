@@ -3,10 +3,12 @@
 Token probes are inner products against the token matrix. A node is accepted
 when its best probe clears THRESHOLD. Its child slots are probed all at
 once, through one of the embedding's slot_probes tables applied to the
-frame of its ancestor probe_depth levels up, or of the root. So the vector
-is rotated with a matrix transpose into a frame only for a non-root node of
-height >= probe_depth, once each: a tree no more than probe_depth levels
-deep costs no dim x dim product. An absent subtree simply fails its probe.
+frame of its anchor: its ancestor probe_depth levels up, or the root. When a
+child's path from the anchor would outgrow probe_depth, the anchor takes that
+path's first step, so the vector is rotated with a matrix transpose into a
+frame only for a non-root node of height >= probe_depth, once each: a tree
+no more than probe_depth levels deep costs no dim x dim product. An absent
+subtree simply fails its probe.
 """
 
 from __future__ import annotations
@@ -55,13 +57,15 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
 
     Each accepted node goes into one record as (label, attr, parent),
     parents before children, and the tree is Tree.from_parents(record). A
-    node's child slots are scored by slot_probes(path) @ frame, where frame
-    is its anchor's vector M^T-rotated from the root and path leads from the
-    anchor to the node. The anchor is the node's ancestor probe_depth levels
-    up, or the root for a shallower node: when a child's path would outgrow
-    probe_depth, the anchor moves one node down that path. Its frame is
-    rotated from its parent's, and every frame is kept, so exactly the
-    non-root nodes of height >= probe_depth cost one dim x dim product each.
+    stack entry is (way, path): way lists the nodes from the node's anchor
+    down to the node, path the attributes between them. When it is popped,
+    the node's child slots are scored by slot_probes(path) @ frame, where
+    frame is the anchor's vector M^T-rotated from the root. The anchor is the
+    node's ancestor probe_depth levels up, or the root for a shallower node:
+    when a child's path would outgrow probe_depth, the anchor takes the way's
+    first step. The new anchor's frame is rotated from the old anchor's when
+    it is first needed and kept, so exactly the non-root nodes of height
+    >= probe_depth cost one dim x dim product each.
     More than min(d, 2||v||^2 + 1) accepted nodes, the root counted, raise
     BudgetExceededError; as depth < nodes, that bounds depth too. A tree's
     ||v||^2 is its node count give or take sqrt(2n(n-1)/d), and no d-dim
@@ -77,35 +81,23 @@ def decode_with_stats(e: Embedding, v: BTVector) -> tuple[Tree | None, DecodeSta
     record = [(root, -1, -1)]
     depths = [0]
     frames = {0: data}
-
-    def make_frame(i: int) -> None:
-        way = []
-        while i not in frames:
-            way.append(i)
-            i = record[i][2]
-        for j in reversed(way):
-            _, attr, parent = record[j]
-            frames[j] = e.attribute_matrices[attr].T @ frames[parent]
-
-    stack = [(0, 0, (), e.slot_probes() @ data)]
+    stack = [((0,), ())]
     while stack:
         if len(record) > budget:
             raise BudgetExceededError(f"decode accepted over min(d, 2|v|^2 + 1) = {budget} nodes")
-        i, anchor, path, scores = stack.pop()
+        way, path = stack.pop()
+        scores = e.slot_probes(path) @ frames[way[0]]
         for attr, slot in enumerate(scores.reshape(n_attrs, n_tokens)):
             label = best_token(slot)
             if label is not None:
                 if len(path) == e.probe_depth:
-                    # the anchor moves one node down the path, to the child's ancestor probe_depth levels up
-                    anchor = i
-                    for _ in path[1:]:
-                        anchor = record[anchor][2]
-                    make_frame(anchor)
-                    path = path[1:]
-                child = (*path, attr)
-                stack.append((len(record), anchor, child, e.slot_probes(child) @ frames[anchor]))
-                record.append((label, attr, i))
-                depths.append(depths[i] + 1)
+                    # the anchor takes the way's first step; its parent, the old anchor, has a frame
+                    if way[1] not in frames:
+                        frames[way[1]] = e.attribute_matrices[path[0]].T @ frames[way[0]]
+                    way, path = way[1:], path[1:]
+                stack.append(((*way, len(record)), (*path, attr)))
+                record.append((label, attr, way[-1]))
+                depths.append(depths[way[-1]] + 1)
 
     visits = 1 + n_attrs * len(record)
     stats = DecodeStats(visits, visits * n_tokens, len(record), max(depths))

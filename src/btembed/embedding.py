@@ -184,10 +184,11 @@ class Embedding:
 def make_embedding(schema: Schema, dim: int, seed: int) -> Embedding:
     """Sample an embedding deterministically from a 64-bit seed.
 
-    The counter-based Philox generator keyed by the seed makes the draw
-    reproducible across platforms. Token vectors are drawn first (normalized
-    Gaussian rows), then one Haar orthogonal matrix per attribute in schema
-    order; the order is part of the format contract.
+    The counter-based Philox generator keyed by the seed makes the draws
+    the same on every platform; the matrices' QR runs in BLAS, so their bits
+    hold for one BLAS build and thread count. Token vectors are drawn first
+    (normalized Gaussian rows), then one Haar orthogonal matrix per attribute
+    in schema order; the order is part of the format contract.
     """
     if dim < 2:
         raise DimensionTooSmallError(f"dim must be at least 2, got {dim}")

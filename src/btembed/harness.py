@@ -3,7 +3,7 @@
 Sweeps grid over (dimension, size) cells. Every cell gets its own embedding,
 seeded from the sweep's base seed and the cell coordinates, and every trial
 gets its own data stream, so reruns of the same spec reproduce byte-identical
-results on any machine.
+results under one BLAS build and thread count.
 """
 
 from __future__ import annotations

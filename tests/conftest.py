@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from btembed import balanced_parens_grammar, balanced_parens_schema, compile_rul
 from btembed import Embedding, make_embedding, make_sweep_schema, save_embedding
 
 acceptance_lines: list[str] = []
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture
@@ -24,6 +26,9 @@ def pytest_terminal_summary(terminalreporter) -> None:
     if not acceptance_lines:
         return
     terminalreporter.section("acceptance criteria")
+    # the thread count decides which d = 1000 and 2000 embeddings get sampled
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARS)
+    terminalreporter.write_line(f"BLAS threads: {threads}; cpu_count={os.cpu_count()}")
     for line in acceptance_lines:
         terminalreporter.write_line(line)
 

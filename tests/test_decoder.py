@@ -131,16 +131,17 @@ class TestProbeBeforeRotate:
     reference recurses fewer than 513 levels.
     """
 
-    def test_random_trees(self, emb_small):
+    def test_random_trees(self, emb_small, narrow):
         # at d = 192 most trees past size 8 decode wrong, as noise clears
         # THRESHOLD in empty slots; those decodes must agree too, and a
         # budget error counts as a wrong decode
         noisy = make_embedding(make_sweep_schema(10, 2), 192, 7)
+        assert (emb_small.probe_depth, narrow.probe_depth, noisy.probe_depth) == (3, 1, 2)
         rng = np.random.default_rng(57)
         wrong = 0
         for _ in range(40):
             tree = random_tree(int(rng.integers(1, 17)), 10, 2, rng)
-            for e in (emb_small, noisy):
+            for e in (emb_small, narrow, noisy):
                 v = bt_encode(e, tree)
                 want = outcome(rotate_then_probe, e, v)
                 assert outcome(decode_with_stats, e, v) == want
@@ -148,25 +149,27 @@ class TestProbeBeforeRotate:
         assert wrong >= 20
 
     def test_lists(self, emb_list):
-        # list_edit's schema and d, where the tables reach 9 levels deep
+        # list_edit's schema and d, where the tables reach 9 levels deep;
+        # past about 20 tokens some lists decode wrong, and must agree too
         rng = np.random.default_rng(61)
-        for n in range(1, 17):
+        for n in range(1, 41):
             for _ in range(3):
                 v = encode_list(emb_list, [int(t) for t in rng.integers(100, size=n)])
                 assert outcome(decode_with_stats, emb_list, v) == outcome(rotate_then_probe, emb_list, v)
 
-    def test_noise_that_trips_the_budgets(self, emb_small):
+    def test_noise_that_trips_the_budgets(self, emb_small, narrow):
         # norm-10 noise trips 2||v||^2 + 1 and norm-30 noise the d cap
         rng = np.random.default_rng(58)
         capped = set()
-        for norm in (6.0, 10.0, 30.0):
-            for _ in range(4):
-                x = rng.standard_normal(emb_small.dim)
-                v = emb_small.wrap(x * (norm / np.linalg.norm(x)))
-                want = outcome(rotate_then_probe, emb_small, v)
-                assert outcome(decode_with_stats, emb_small, v) == want
-                if want[0] is BudgetExceededError:
-                    capped.add(budget(emb_small, v) == emb_small.dim)
+        for e in (emb_small, narrow):
+            for norm in (6.0, 10.0, 30.0):
+                for _ in range(4):
+                    x = rng.standard_normal(e.dim)
+                    v = e.wrap(x * (norm / np.linalg.norm(x)))
+                    want = outcome(rotate_then_probe, e, v)
+                    assert outcome(decode_with_stats, e, v) == want
+                    if want[0] is BudgetExceededError:
+                        capped.add(budget(e, v) == e.dim)
         assert capped == {False, True}
 
 
@@ -187,6 +190,12 @@ def shaped(schema: Schema, d: int) -> Embedding:
     """An embedding of the right shapes whose arrays are never read, to ask its probe_depth."""
     m = schema.n_attributes
     return Embedding(schema, 0, np.zeros((schema.n_tokens, d)), np.broadcast_to(np.eye(d), (m, d, d)))
+
+
+@pytest.fixture(scope="module")
+def narrow():
+    # emb_small's schema at d = 160, where probe_depth is 1, as for tree_roundtrip
+    return make_embedding(make_sweep_schema(10, 2), 160, 2)
 
 
 @pytest.fixture(scope="module")
@@ -214,10 +223,9 @@ class TestRotations:
             assert decode(e, encode_list(emb_list, tokens)) == chain_tree(emb_list, tokens)
             assert count[0] == max(0, n - 9)
 
-    def test_at_most_one_rotation_per_internal_node(self, emb_small, counting):
+    def test_at_most_one_rotation_per_internal_node(self, emb_small, narrow, counting):
         # one rotation per non-root node of height >= probe_depth: with
         # probe_depth 1 every internal node below the root, as before
-        narrow = make_embedding(emb_small.schema, 160, 2)
         rng = np.random.default_rng(63)
         for base, depth in ((narrow, 1), (emb_small, 3)):
             e, count = counting(base)
