@@ -108,14 +108,14 @@ class Embedding:
     def probe_depth(self) -> int:
         """The longest path slot_probes keeps a table for.
 
-        The largest K >= 1 whose tables, one per path of length <= K, fit in
-        one d x d matrix together: (1 + m + ... + m^K) * m * n_tokens <= d
-        rows for m attributes. 1 when no K fits.
+        The largest K >= 1 whose tables, one per path of length <= K, hold
+        no more floats than the m attribute matrices together:
+        (1 + m + ... + m^K) * m * n_tokens * d <= m * d^2, that is
+        (1 + m + ... + m^K) * n_tokens <= d. 1 when no K fits.
         """
         m = self.schema.n_attributes
-        rows = m * self.schema.n_tokens
         depth, paths = 1, 1 + m
-        while (paths + m ** (depth + 1)) * rows <= self.dim:
+        while (paths + m ** (depth + 1)) * self.schema.n_tokens <= self.dim:
             depth += 1
             paths += m**depth
         return depth

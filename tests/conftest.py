@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import os
+
+# one BLAS thread, as every bitwise check is made, set before numpy loads;
+# an explicit setting in the environment wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import struct
 
 import numpy as np

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -310,17 +311,21 @@ def test_criterion_10_parser_isolation(record_acceptance):
 
 def test_criterion_11_separation(record_acceptance):
     """Pairwise overlaps of 500 depth-4 word images stay under 0.315 at
-    d=2000 in at least 19 of 20 runs."""
+    d=2000 in at least 19 of 20 runs. The runs are independent, so two
+    threads share them; with one BLAS thread each, every run samples the
+    same embedding as it would alone."""
     schema = make_sweep_schema(100, 4)
-    start = time.perf_counter()
-    in_bound = 0
-    worst = 0.0
-    for run in range(20):
+
+    def max_abs_ip(run: int) -> float:
         e = make_embedding(schema, 2000, cell_seed(BASE, SEP_CODE, 2000, run))
         rng = trial_rng(BASE, SEP_CODE, 2000, 4, run)
-        row = run_separation_probe(e, 4, 500, rng)
-        worst = max(worst, row.max_abs_ip)
-        in_bound += row.max_abs_ip <= 0.315
+        return run_separation_probe(e, 4, 500, rng).max_abs_ip
+
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        overlaps = list(pool.map(max_abs_ip, range(20)))
+    in_bound = sum(ip <= 0.315 for ip in overlaps)
+    worst = max(overlaps)
     elapsed = time.perf_counter() - start
     ok = in_bound >= 19
     record_acceptance(

@@ -13,6 +13,7 @@ from btembed import (
     Schema,
     SchemaMismatchError,
     Tree,
+    balanced_parens_grammar,
     balanced_parens_schema,
     bt_encode,
     decode,
@@ -23,10 +24,13 @@ from btembed import (
     make_embedding,
     make_sweep_schema,
     parse_vectors,
+    random_balanced,
     random_tree,
     save_embedding,
+    symbolic_parse,
 )
 from btembed.embedding import chain_tree
+from btembed.harness import trial_rng
 
 
 class TestDecodeToken:
@@ -135,13 +139,15 @@ class TestProbeBeforeRotate:
         # at d = 192 most trees past size 8 decode wrong, as noise clears
         # THRESHOLD in empty slots; those decodes must agree too, and a
         # budget error counts as a wrong decode
+        two = make_embedding(make_sweep_schema(10, 2), 160, 7)
         noisy = make_embedding(make_sweep_schema(10, 2), 192, 7)
-        assert (emb_small.probe_depth, narrow.probe_depth, noisy.probe_depth) == (3, 1, 2)
+        embeddings = (emb_small, narrow, two, noisy)
+        assert [e.probe_depth for e in embeddings] == [4, 1, 2, 3]
         rng = np.random.default_rng(57)
         wrong = 0
         for _ in range(40):
             tree = random_tree(int(rng.integers(1, 17)), 10, 2, rng)
-            for e in (emb_small, narrow, noisy):
+            for e in embeddings:
                 v = bt_encode(e, tree)
                 want = outcome(rotate_then_probe, e, v)
                 assert outcome(decode_with_stats, e, v) == want
@@ -194,8 +200,8 @@ def shaped(schema: Schema, d: int) -> Embedding:
 
 @pytest.fixture(scope="module")
 def narrow():
-    # emb_small's schema at d = 160, where probe_depth is 1, as for tree_roundtrip
-    return make_embedding(make_sweep_schema(10, 2), 160, 2)
+    # emb_small's schema at d = 80, where probe_depth is 1, as for tree_roundtrip
+    return make_embedding(make_sweep_schema(10, 2), 80, 2)
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +233,7 @@ class TestRotations:
         # one rotation per non-root node of height >= probe_depth: with
         # probe_depth 1 every internal node below the root, as before
         rng = np.random.default_rng(63)
-        for base, depth in ((narrow, 1), (emb_small, 3)):
+        for base, depth in ((narrow, 1), (emb_small, 4)):
             e, count = counting(base)
             assert e.probe_depth == depth
             for _ in range(10):
@@ -305,7 +311,7 @@ class TestSlotProbes:
                 )
 
     def test_every_tail_is_kept(self, emb_small):
-        e = make_embedding(emb_small.schema, 192, 2)
+        e = make_embedding(emb_small.schema, 160, 2)
         assert e.probe_depth == 2
         e.slot_probes((1, 0))
         assert list(e._slot_probes) == [(), (0,), (1, 0)]
@@ -322,14 +328,56 @@ class TestSlotProbes:
         ],
     )
     def test_probe_depth_keeps_the_tables_in_one_matrix(self, schema, d, depth):
+        # depth is the longest K whose tables, m * n_tokens rows per path,
+        # fit in one d x d matrix; probe_depth keeps at least those tables,
+        # and with one attribute the two budgets are the same
         m, rows = schema.n_attributes, schema.n_attributes * schema.n_tokens
 
         def fits(k):
             return sum(m**j for j in range(k + 1)) * rows <= d
 
+        assert not fits(depth + 1)
+        assert fits(depth) or depth == 1
+        assert shaped(schema, d).probe_depth >= depth
+        assert shaped(schema, d).probe_depth == depth or m > 1
+
+    @pytest.mark.parametrize(
+        "schema, d, depth",
+        [
+            (make_sweep_schema(100, 4), 2000, 1),  # tree_roundtrip: K = 2 needs 2,184 > 2,000
+            (balanced_parens_schema(), 1000, 3),  # vector_parse
+            (make_sweep_schema(100, 1), 1000, 8),  # list_edit
+            (Schema(("a", "next"), ("next",)), 16, 7),
+        ],
+    )
+    def test_probe_depth_keeps_the_tables_within_the_attribute_matrices(self, schema, d, depth):
+        # the tables of every path of <= k steps, m * n_tokens rows of d
+        # floats each, hold no more floats than the m matrices, m * d^2
+        m = schema.n_attributes
+
+        def fits(k):
+            return sum(m**j for j in range(k + 1)) * schema.n_tokens <= d
+
         assert shaped(schema, d).probe_depth == depth
         assert not fits(depth + 1)
         assert fits(depth) or depth == 1
+
+    def test_decoded_tables_fit_in_the_attribute_matrices(self, parens_embedding, emb_list, emb_small):
+        # the tables that decodes leave, wrong and over-budget ones included,
+        # take no more bytes than the attribute matrices, on fresh memos
+        grammar, rng = balanced_parens_grammar(), np.random.default_rng(64)
+        words = [random_balanced(n, trial_rng(7, 3, 1000, n, t)) for n in range(2, 25, 2) for t in range(10)]
+        cases = [
+            (parens_embedding, [symbolic_parse(grammar, w, parens_embedding.schema) for w in words]),
+            (emb_list, [chain_tree(emb_list, [int(t) for t in rng.integers(100, size=n)]) for n in range(1, 41)]),
+            (emb_small, [random_tree(int(rng.integers(1, 25)), 10, 2, rng) for _ in range(60)]),
+        ]
+        for base, trees in cases:
+            e = Embedding(base.schema, base.seed, base.token_vectors, base.attribute_matrices)
+            for tree in trees:
+                outcome(decode, e, bt_encode(e, tree))
+            assert len(e._slot_probes) > 1
+            assert sum(t.nbytes for t in e._slot_probes.values()) <= e.attribute_matrices.nbytes
 
 
 def shift_chain(d: int) -> Embedding:

@@ -391,11 +391,11 @@ class TestParse:
         for e in c09_embeddings.values():
             self.assert_parses_exactly(e, words)
 
-    def tall_members(self, word):
-        """The oracle tree's non-root nodes of height >= 2."""
+    def tall_members(self, word, height=2):
+        """The oracle tree's non-root nodes of height >= `height`."""
 
         def combine(node, subs):
-            return (1 + max(h for h, _ in subs) if subs else 0, sum(n + (h >= 2) for h, n in subs))
+            return (1 + max(h for h, _ in subs) if subs else 0, sum(n + (h >= height) for h, n in subs))
 
         return self.sym(word).fold(combine)[1]
 
@@ -412,16 +412,16 @@ class TestParse:
             assert count[0] == self.tall_members(word), word
 
     def test_decode_rotates_only_tall_nodes(self, c09_embedding, counting):
-        # at probe_depth 2 a node's child slots are scored from its ancestor two
-        # levels up, so the decode makes one product per non-root node of
-        # height >= 2, as many as the warm parse
+        # at probe_depth 3 a node's child slots are scored from its ancestor
+        # three levels up, so the decode makes one product per non-root node
+        # of height >= 3, fewer than the warm parse's one per height >= 2
         e, count = counting(c09_embedding)
-        assert e.probe_depth == 2
+        assert e.probe_depth == 3
         for word in SHORT_WORDS:
             v = bt_encode(c09_embedding, self.sym(word))
             count[0] = 0
             assert decode(e, v) == self.sym(word), word
-            assert count[0] == self.tall_members(word), word
+            assert count[0] == self.tall_members(word, e.probe_depth), word
 
     def test_replacement_head_is_the_rule_token(self, c09_embedding):
         # a probe of this word's replacement slots misreads a head once their
