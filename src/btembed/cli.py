@@ -75,7 +75,7 @@ def cmd_decode(args) -> int:
     tree = decode(e, v)
     if tree is None:
         return _fail(EXIT_ABSENT, "vector decodes to absent")
-    text = json.dumps(tree.to_dict(e.schema), indent=2) + "\n"
+    text = tree.to_json(e.schema) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:

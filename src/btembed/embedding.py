@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import operator
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import DimensionTooSmallError
 from .schema import NEXT, Schema, Tree
@@ -26,18 +29,49 @@ GENERATOR_NAME = "philox"
 _MAX_SEED = 2**64 - 1
 
 
+def _reflect(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A QR's first stage, geqrf, in place: g becomes its Householder form,
+    R on and above the diagonal. Returns tau and the signs of R's diagonal,
+    0 read as +1. This and _form_q call the private gufuncs np.linalg.qr
+    calls from numpy 2.0 on; the tests pin their bits to np.linalg.qr."""
+    tau = _umath_linalg.qr_r_raw(g, signature="d->d")
+    signs = np.sign(np.diagonal(g))
+    signs[signs == 0] = 1.0
+    return tau, signs
+
+
+def _form_q(g: np.ndarray, tau: np.ndarray, signs: np.ndarray) -> None:
+    """A QR's second stage, orgqr, on _reflect's output: g becomes Q with
+    each column multiplied by its sign."""
+    np.multiply(_umath_linalg.qr_reduced(g, tau, signature="dd->d"), signs, out=g)
+
+
+def _overlap_stages() -> bool:
+    """Whether one matrix's _form_q may run on a worker thread beside the
+    next one's _reflect: only when BLAS runs one thread per call, which
+    OpenBLAS reads from the first set of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS, and at least two CPUs are free.
+    With more BLAS threads the two stages only contend for the same cores.
+    The gate assumes an OpenBLAS build, numpy's own; MKL reads other
+    variables."""
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    threads = next((os.environ[name] for name in names if name in os.environ), None)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return threads == "1" and (cpus or 1) >= 2
+
+
 def haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an orthogonal matrix uniformly with respect to Haar measure.
 
     QR of a standard Gaussian matrix, with each column of Q multiplied by the
     sign of the matching diagonal entry of R. The sign correction removes the
     factorization's convention bias; without it the distribution is not Haar.
+    The QR runs in place in the two LAPACK stages np.linalg.qr runs, geqrf
+    then orgqr, so the bits are np.linalg.qr's.
     """
     g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    _form_q(g, *_reflect(g))
+    return g
 
 
 def _check_seed(seed: int) -> None:
@@ -187,8 +221,13 @@ def make_embedding(schema: Schema, dim: int, seed: int) -> Embedding:
     The counter-based Philox generator keyed by the seed makes the draws
     the same on every platform; the matrices' QR runs in BLAS, so their bits
     hold for one BLAS build and thread count. Token vectors are drawn first
-    (normalized Gaussian rows), then one Haar orthogonal matrix per attribute
-    in schema order; the order is part of the format contract.
+    (normalized Gaussian rows), then one Gaussian matrix per attribute in
+    schema order; the order is part of the format contract. Each matrix is
+    then made Haar orthogonal in place, as haar_orthogonal does. With two or
+    more attributes and BLAS on one thread (_overlap_stages), each matrix's
+    orgqr runs on one worker thread while the caller runs the next one's
+    geqrf; the worker is joined before returning. The schedule never changes
+    the bits.
     """
     if dim < 2:
         raise DimensionTooSmallError(f"dim must be at least 2, got {dim}")
@@ -197,8 +236,20 @@ def make_embedding(schema: Schema, dim: int, seed: int) -> Embedding:
     tok = rng.standard_normal((schema.n_tokens, dim))
     tok /= np.linalg.norm(tok, axis=1, keepdims=True)
     mats = np.empty((schema.n_attributes, dim, dim))
-    for i in range(schema.n_attributes):
-        mats[i] = haar_orthogonal(dim, rng)
+    for g in mats:
+        rng.standard_normal(out=g)
+    if len(mats) < 2 or not _overlap_stages():
+        for g in mats:
+            _form_q(g, *_reflect(g))
+    else:
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            formed = None
+            for g in mats:
+                stage = _reflect(g)
+                if formed is not None:
+                    formed.result()
+                formed = worker.submit(_form_q, g, *stage)
+            formed.result()
     return Embedding(schema=schema, seed=seed, token_vectors=tok, attribute_matrices=mats)
 
 

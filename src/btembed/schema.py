@@ -255,6 +255,30 @@ class Tree:
 
         return self.fold(named)
 
+    def to_json(self, schema: Schema) -> str:
+        """The text of json.dumps(self.to_dict(schema), indent=2), written from
+        an explicit stack, so no tree is too deep to write."""
+        parts: list[str] = []
+        stack: list[str | tuple[Tree, str]] = [(self, "\n")]  # text, or a node and its line break
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            node, br = item
+            inner = br + "  "
+            parts.append(f'{{{inner}"label": {json.dumps(schema.tokens[node.label])},{inner}"children": ')
+            if not node.children:
+                parts.append("{}" + br + "}")
+                continue
+            parts.append("{")
+            stack.append(inner + "}" + br + "}")
+            for k in range(len(node.children) - 1, -1, -1):
+                attr, sub = node.children[k]
+                stack.append((sub, inner + "  "))
+                stack.append(("," if k else "") + inner + "  " + json.dumps(schema.attributes[attr]) + ": ")
+        return "".join(parts)
+
     @classmethod
     def from_dict(cls, raw: dict, schema: Schema) -> "Tree":
         """Read the named mapping form, raising ValueError on a malformed node."""

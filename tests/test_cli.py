@@ -551,26 +551,21 @@ class TestEntryPoint:
 
     def test_json_writer_depth_limit(self, tmp_path):
         # basis-vector tokens and the cyclic shift as M_next decode an exact
-        # n-node chain; json.dumps then nests two calls per node, and through
-        # `python -m btembed` 495 nodes write while 496 exceed the default
-        # recursion limit of 1,000
-        d = 512
+        # n-node chain, three times deeper than json.dumps, at two calls per
+        # node, writes under `python -m btembed`'s recursion limit of 1,000
+        d, n = 1536, 1500
         schema = Schema(("a", "next"), ("next",))
         e = Embedding(schema=schema, seed=0, token_vectors=np.eye(2, d),
                       attribute_matrices=np.roll(np.eye(d), 1, axis=0)[None])
         save_embedding(e, tmp_path / "chain.bte")
-        for n, rc in ((495, 0), (496, 2)):
-            save_vector(e.wrap((np.arange(d) < n).astype(float)), tmp_path / "chain.btv")
-            proc = run_module("decode", "--embedding", str(tmp_path / "chain.bte"),
-                              "--vector", str(tmp_path / "chain.btv"), "-o", str(tmp_path / f"{n}.json"))
-            assert proc.returncode == rc
-            if rc:
-                assert proc.stderr.startswith("error: maximum recursion depth exceeded")
-                assert proc.stderr.count("\n") == 1
-            else:
-                assert proc.stderr == ""
-                # pytest's own frames leave json.loads too little depth to read it back
-                assert (tmp_path / f"{n}.json").read_text().count('"label": "a"') == n
+        save_vector(e.wrap((np.arange(d) < n).astype(float)), tmp_path / "chain.btv")
+        proc = run_module("decode", "--embedding", str(tmp_path / "chain.bte"),
+                          "--vector", str(tmp_path / "chain.btv"), "-o", str(tmp_path / "chain.json"))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # json.loads keeps its own recursion limit and cannot read this back
+        text = (tmp_path / "chain.json").read_text()
+        assert text.count('"label": "a"') == n and text.count('"next": {') == n - 1
+        assert text.endswith("\n" + "\n".join("  " * k + "}" for k in range(2 * n - 2, -1, -1)) + "\n")
 
     @pytest.mark.parametrize(
         "args",

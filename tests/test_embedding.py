@@ -9,6 +9,7 @@ independent to be checked against.
 from __future__ import annotations
 
 import itertools
+import threading
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from btembed import (
     SchemaMismatchError,
     Tree,
     attach,
+    balanced_parens_schema,
     bt_encode,
     cardinality_estimate,
     decode,
@@ -36,6 +38,7 @@ from btembed import (
     save_embedding,
     zero_vector,
 )
+from btembed import embedding
 from btembed.embedding import Embedding, chain_tree, embedding_fingerprint
 
 
@@ -185,6 +188,75 @@ class TestHaarSampling:
         rng = np.random.default_rng(44)
         m = haar_orthogonal(33, rng)
         np.testing.assert_allclose(m @ m.T, np.eye(33), atol=1e-12)
+
+
+def qr_haar(g: np.ndarray) -> np.ndarray:
+    """The sampler as np.linalg.qr of g with the sign step."""
+    q, r = np.linalg.qr(g)
+    signs = np.sign(np.diagonal(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+class TestInPlaceQR:
+    """The QR runs in place as geqrf then orgqr, on numpy's private gufuncs,
+    either inline or with orgqr on one worker thread. Every matrix must keep
+    the bits of np.linalg.qr on the same draws, whichever schedule runs."""
+
+    def reference(self, schema, dim, seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        tok = rng.standard_normal((schema.n_tokens, dim))
+        tok /= np.linalg.norm(tok, axis=1, keepdims=True)
+        mats = [qr_haar(rng.standard_normal((dim, dim))) for _ in range(schema.n_attributes)]
+        return tok, np.array(mats)
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize(
+        "schema, dim",
+        [(make_sweep_schema(10, 3), 64), (make_sweep_schema(100, 1), 1000), (balanced_parens_schema(), 1000)],
+        ids=["sweep-3-attributes", "list", "balanced-parens"],
+    )
+    def test_bits_are_np_linalg_qr_under_either_schedule(self, monkeypatch, schema, dim, overlap):
+        monkeypatch.setattr(embedding, "_overlap_stages", lambda: overlap)
+        tok, mats = self.reference(schema, dim, 11)
+        threads = threading.active_count()
+        e = make_embedding(schema, dim, 11)
+        assert threading.active_count() == threads
+        np.testing.assert_array_equal(e.token_vectors, tok)
+        np.testing.assert_array_equal(e.attribute_matrices, mats)
+
+    def test_haar_orthogonal_is_the_old_formula(self):
+        for dim in (1, 2, 33, 300):
+            a, b = np.random.default_rng(dim), np.random.default_rng(dim)
+            np.testing.assert_array_equal(haar_orthogonal(dim, a), qr_haar(b.standard_normal((dim, dim))))
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_one_attribute_starts_no_worker(self, monkeypatch):
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(embedding, "_overlap_stages", lambda: True)
+        monkeypatch.setattr(embedding, "ThreadPoolExecutor", no_worker)
+        e = make_embedding(make_sweep_schema(10, 1), 64, 3)
+        np.testing.assert_array_equal(e.attribute_matrices, self.reference(e.schema, 64, 3)[1])
+
+    def test_gate_reads_openblas_then_goto_then_omp(self, monkeypatch):
+        monkeypatch.setattr(embedding.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for openblas, goto, omp, gate in (
+            ("1", "8", "8", True), ("2", "1", "1", False), (None, "2", "1", False), (None, "1", "8", True),
+            (None, None, "1", True), (None, None, None, False),
+        ):
+            names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+            for var, value in zip(names, (openblas, goto, omp)):
+                if value is None:
+                    monkeypatch.delenv(var, raising=False)
+                else:
+                    monkeypatch.setenv(var, value)
+            assert embedding._overlap_stages() is gate
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert embedding._overlap_stages() is True
+        monkeypatch.setattr(embedding.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert embedding._overlap_stages() is False
 
 
 class TestEncoding:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from btembed import (
     NonReflexiveError,
     Schema,
     Tree,
+    random_tree,
 )
 
 
@@ -219,6 +221,31 @@ class TestTreeSerialization:
         s = small_schema()
         with pytest.raises(KeyError):
             Tree.from_dict({"label": "qq", "children": {}}, schema=s)
+
+
+class TestTreeJson:
+    """Tree.to_json writes json.dumps(tree.to_dict(schema), indent=2) byte for byte."""
+
+    @pytest.fixture
+    def deep_json(self):
+        # json.dumps nests two calls per tree level; room for 495 levels under pytest
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2_000)
+        yield
+        sys.setrecursionlimit(limit)
+
+    def test_random_trees(self, deep_json):
+        schema = Schema(("t0", 'q"uote', "\u00e9\n", "\u2603"), ('q"uote', "\u00e9\n", "\u2603"))
+        rng = np.random.default_rng(32)
+        for size in [*range(1, 40), 100, 300]:
+            tree = random_tree(size, 4, 3, rng)
+            assert tree.to_json(schema) == json.dumps(tree.to_dict(schema), indent=2)
+
+    def test_chains_json_dumps_can_write(self, deep_json):
+        schema = Schema(("a", "next"), ("next",))
+        for n in (1, 2, 3, 64, 494, 495):
+            chain = Tree.from_parents([(0, 0, i - 1) for i in range(n)])
+            assert chain.to_json(schema) == json.dumps(chain.to_dict(schema), indent=2)
 
 
 def trees(n_tokens: int, n_attrs: int):
